@@ -13,10 +13,7 @@ from .core import (
     HashModel,
     SecantBatch,
     SecantRef,
-    enumerate_secants,
     hash_codes,
-    hamming_pair_dist,
-    relaxed_pair_dist,
     secant_count,
     sigmoid_embed,
 )
@@ -29,10 +26,7 @@ __all__ = [
     "HashModel",
     "SecantBatch",
     "SecantRef",
-    "enumerate_secants",
     "hash_codes",
-    "hamming_pair_dist",
-    "relaxed_pair_dist",
     "secant_count",
     "sigmoid_embed",
     "__version__",

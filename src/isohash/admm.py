@@ -30,6 +30,7 @@ from .core import (
     hamming_pairs,
     hash_matrix,
     random_projection_matrix,
+    relaxed_pair_dists,
     sigmoid,
 )
 from .metrics import fit_lambda_chebyshev
@@ -103,12 +104,6 @@ class SolverState:
     distance_convention: str = "unsquared-l2"
 
 
-def _relaxed_dists(w, points, i_idx, j_idx, alpha):
-    s = sigmoid(points @ w.T, alpha)
-    d = s[i_idx] - s[j_idx]
-    return np.einsum("ij,ij->i", d, d)
-
-
 # ---------------------------------------------------------------------------
 # the four update steps
 
@@ -116,7 +111,7 @@ def _relaxed_dists(w, points, i_idx, j_idx, alpha):
 def augmented_loss(state: SolverState, secants: SecantBatch, data: Dataset,
                    rho: float = 1.0) -> float:
     """||u||_inf + (rho/2) ||u - lambda v(W) + c + y||^2 at the current state."""
-    v = _relaxed_dists(state.w, data.points, secants.i, secants.j, state.alpha)
+    v = relaxed_pair_dists(state.w, data.points, secants.i, secants.j, state.alpha)
     r = state.u - state.lam * v + secants.c + state.y
     uinf = float(np.max(np.abs(state.u))) if state.u.size else 0.0
     return uinf + 0.5 * rho * float(r @ r)
@@ -335,7 +330,7 @@ def train_nibh(
     if fixed_lambda is not None:
         lam0 = float(fixed_lambda)
     else:
-        v0 = _relaxed_dists(w, pts, i_idx, j_idx, config.alpha_end)
+        v0 = relaxed_pair_dists(w, pts, i_idx, j_idx, config.alpha_end)
         vv0 = float(v0 @ v0)
         lam0 = max(config.lambda_min, float(v0 @ c) / vv0) if vv0 > 0 else 1.0
 
@@ -356,7 +351,7 @@ def train_nibh(
     for it in range(1, config.max_outer_iters + 1):
         state.iteration = it
         state.w = w_step(state, secants, data, config)
-        v = _relaxed_dists(state.w, pts, i_idx, j_idx, state.alpha)
+        v = relaxed_pair_dists(state.w, pts, i_idx, j_idx, state.alpha)
         state.u = u_step(state.lam * v - c - state.y, config.rho)
         if fixed_lambda is None:
             state.lam = lambda_step(state.u, v, c, state.y,

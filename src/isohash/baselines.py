@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    HashModel,
-    decode_pair_indices,
-    random_projection_matrix,
-    secant_count,
-)
+from .core import Dataset, HashModel, SecantBatch, random_projection_matrix
 from .metrics import fit_lambda_chebyshev, max_distortion
 
 __all__ = [
@@ -69,14 +63,6 @@ def lsh_model(m: int, n: int, seed: int, data: Dataset | None = None) -> HashMod
 # 1-D embeddings by angular grid search
 
 
-def _pair_arrays(points: np.ndarray):
-    total = secant_count(points.shape[0])
-    i_idx, j_idx = decode_pair_indices(np.arange(total, dtype=np.int64))
-    diffs = points[i_idx] - points[j_idx]
-    c = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    return i_idx, j_idx, c
-
-
 def _scaled_distortion(p: np.ndarray, c: np.ndarray, norm_kind: str) -> float:
     """min over lambda > 0 of ||lambda p - c|| in the chosen norm."""
     if norm_kind == "l2":
@@ -106,14 +92,14 @@ def grid_search_embedding_1d(points: np.ndarray, norm_kind: str,
         raise ValueError(f"need Q x 2 points, got {points.shape}")
     if grid_steps < 2:
         raise ValueError("grid_steps must be >= 2")
-    i_idx, j_idx, c = _pair_arrays(points)
+    pairs = SecantBatch.all_pairs(points)
     angles = np.arange(grid_steps) * (np.pi / grid_steps)
     profile = np.empty((grid_steps, 2))
     best = (np.inf, 0.0)
     for t, ang in enumerate(angles):
         proj = points @ np.array([np.cos(ang), np.sin(ang)])
-        p = np.abs(proj[i_idx] - proj[j_idx])
-        val = _scaled_distortion(p, c, norm_kind)
+        p = np.abs(proj[pairs.i] - proj[pairs.j])
+        val = _scaled_distortion(p, pairs.c, norm_kind)
         profile[t] = (ang, val)
         if val < best[0]:
             best = (val, ang)

@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Subcommands: ``train`` (nibh | nibh-cg | lsh), ``eval`` (delta | map | tau),
-``demo-fig1``, ``check`` (lemma1 | knn), ``bench``. Every command prints
-exactly one JSON document to stdout (logs go to stderr), writes one run
-manifest, and is deterministic given its flags and input files; wall-clock
-timings appear only in the manifest and the bench report.
+``demo-fig1``, ``check`` (lemma1 | knn). Every command prints exactly one
+JSON document to stdout (logs go to stderr), writes one run manifest, and is
+deterministic given its flags and input files; wall-clock timings appear
+only in the manifest.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
-5 check failure. A ``--k`` or ``--queries`` index that the dataset cannot
-serve is a usage error; a queries file that does not parse as integers is
-a data error.
+5 check failure. A malformed flag value (``--bits`` below 1, a ``--secants``
+other than all, bre or sample:K with K >= 1), a flag the chosen command or
+metric does not use, and a ``--k`` or ``--queries`` index that the dataset
+cannot serve are usage errors; a queries file that does not parse as
+integers is a data error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -26,7 +29,13 @@ import numpy as np
 
 from . import baselines, colgen, dataio, metrics, theory
 from .admm import DivergenceError, SolverConfig, train_nibh
-from .core import Dataset, decode_pair_indices, pair_distances, secant_count, SecantBatch
+from .core import (
+    Dataset,
+    SecantBatch,
+    decode_pair_indices,
+    sample_pair_indices,
+    secant_count,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,6 +46,9 @@ EXIT_CHECK_FAILED = 5
 
 class UsageError(Exception):
     """A flag value that the loaded dataset cannot serve (exit code 2)."""
+
+
+SECANT_SPEC = re.compile(r"all|bre|sample:0*[1-9][0-9]*")
 
 
 # ---------------------------------------------------------------------------
@@ -113,26 +125,16 @@ def _load_for_model(path: str, model) -> Dataset:
     return dataio.preprocess_for_model(ds.points, model)
 
 
-def _all_secants(data: Dataset) -> SecantBatch:
-    t = np.arange(secant_count(data.q), dtype=np.int64)
-    i_idx, j_idx = decode_pair_indices(t)
-    return SecantBatch(i_idx, j_idx, pair_distances(data.points, i_idx, j_idx))
-
-
 def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
+    """Training secants for a spec that matches SECANT_SPEC."""
     if spec == "all":
-        return _all_secants(data)
+        return SecantBatch.all_pairs(data.points)
     if spec == "bre":
         return dataio.bre_secant_selection(data)
-    if spec.startswith("sample:"):
-        k = int(spec.split(":", 1)[1])
-        from .core import sample_pair_indices
-
-        rng = np.random.default_rng(seed)
-        t = sample_pair_indices(secant_count(data.q), k, rng)
-        i_idx, j_idx = decode_pair_indices(t)
-        return SecantBatch(i_idx, j_idx, pair_distances(data.points, i_idx, j_idx))
-    raise ValueError(f"unknown secant selection {spec!r}")
+    k = int(spec.split(":", 1)[1])
+    rng = np.random.default_rng(seed)
+    t = sample_pair_indices(secant_count(data.q), k, rng)
+    return SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +149,11 @@ def cmd_train(args, parser) -> int:
                      f"to --algo nibh-cg, not {args.algo}")
     if args.algo != "nibh" and args.secants != "all":
         parser.error(f"--secants applies only to --algo nibh, not {args.algo}")
+    if not SECANT_SPEC.fullmatch(args.secants):
+        parser.error(f"--secants must be all, bre or sample:K with K >= 1, "
+                     f"not {args.secants!r}")
+    if args.bits < 1:
+        parser.error(f"--bits must be >= 1, got {args.bits}")
 
     man = Manifest("train", sys.argv[1:])
     man.fingerprint("data", args.data)
@@ -258,6 +265,9 @@ def _check_k(k: int, q: int, k_min: int = 1):
 
 
 def cmd_eval(args, parser) -> int:
+    if args.metric == "delta" and (args.k is not None or args.queries is not None):
+        parser.error("--k and --queries apply only to --metric map or tau; "
+                     "delta is measured over all pairs")
     man = Manifest("eval", sys.argv[1:])
     man.fingerprint("data", args.data)
     man.fingerprint("model", args.model)
@@ -384,50 +394,6 @@ def cmd_check(args, parser) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args, parser) -> int:
-    man = Manifest("bench", sys.argv[1:])
-    man.doc["seeds"]["seed"] = args.seed
-    qs = [int(x) for x in args.q.split(",")]
-    runs = []
-    for q in qs:
-        timings = {}
-        t0 = time.perf_counter()
-        raw = dataio.gen_random_dataset(q, args.dims, seed=args.seed)
-        timings["generate"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        data = dataio.preprocess(raw.points)
-        timings["preprocess"] = time.perf_counter() - t0
-        run = {"q": q, "pairs": secant_count(q)}
-        t0 = time.perf_counter()
-        if args.algo == "lsh":
-            baselines.lsh_model(args.bits, data.n, args.seed, data=data)
-        elif args.algo == "nibh":
-            secants = _all_secants(data)
-            train_nibh(data, secants, args.bits,
-                       SolverConfig(seed=args.seed, max_outer_iters=args.max_iters))
-        else:
-            cfg = colgen.CgConfig(
-                scan_seed=args.seed,
-                inner=SolverConfig(seed=args.seed, max_outer_iters=args.max_iters),
-            )
-            _, rep = colgen.train_nibh_cg(data, args.bits, cfg,
-                                          n_threads=_threads(args))
-            run["peak_resident_secants"] = rep.peak_resident_secants
-            run["generations"] = rep.generations
-        timings["train"] = time.perf_counter() - t0
-        run["phases_sec"] = timings
-        runs.append(run)
-        _log(f"bench q={q}: train {timings['train']:.3f}s")
-    man.doc["timings_sec"] = {f"q{r['q']}": r["phases_sec"]["train"] for r in runs}
-    man.write(args.manifest or "bench.manifest.json")
-    _emit({"algo": args.algo, "bits": args.bits, "runs": runs})
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -495,15 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     c2.add_argument("--queries", default=None)
     c2.add_argument("--manifest", default=None)
 
-    b = sub.add_parser("bench", help="time training phases at several Q")
-    b.add_argument("--q", default="100,300,1000", help="comma-separated sizes")
-    b.add_argument("--bits", type=int, default=16)
-    b.add_argument("--dims", type=int, default=100)
-    b.add_argument("--algo", choices=["nibh", "nibh-cg", "lsh"], default="nibh-cg")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--max-iters", type=int, default=30)
-    b.add_argument("--manifest", default=None)
-
     return p
 
 
@@ -515,7 +472,6 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
         "demo-fig1": cmd_demo_fig1,
         "check": cmd_check,
-        "bench": cmd_bench,
     }
     try:
         return handlers[args.command](args, parser)

@@ -2,24 +2,23 @@
 alternate streaming scans for violated pairs with warm-started re-solves
 until a full scan comes back clean.
 
-Memory never scales with the pair count: scans walk a seeded pseudo-random
-permutation of the pair stream in fixed-size chunks, and only the active
-set plus at most one violator batch per generation is ever resident.
+Memory never scales with the pair count: a scan walks the pair stream one
+row at a time and keeps only the violators that come first in a seeded
+pseudo-random order of the stream, O(batch_limit + Q) in all, and only the
+active set plus at most one violator batch per generation is ever resident.
 Violation and activity are judged on quantized codes, since the termination
 guarantee concerns the real near-isometry condition.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .admm import SolverConfig, train_nibh
+from .admm import SolverConfig, _emit, train_nibh
 from .core import (
     BinaryCodes,
     Dataset,
@@ -28,9 +27,10 @@ from .core import (
     decode_pair_indices,
     hamming_pairs,
     hash_codes,
-    pair_distances,
+    map_row_blocks,
     sample_pair_indices,
     secant_count,
+    walk_rows,
 )
 
 __all__ = [
@@ -43,21 +43,13 @@ __all__ = [
     "train_nibh_cg",
 ]
 
-SCAN_CHUNK = 1 << 18
-
-
 @dataclass
 class ActiveSet:
-    """Secants currently kept resident, with the provenance of each
-    (initial sample, carried-over active constraint, or found violator)."""
+    """Secants currently kept resident; each pair at most once."""
 
     secants: SecantBatch
-    origin: np.ndarray  # per-secant tag: initial | active-carryover | violator
-    generation: int
 
     def __post_init__(self):
-        if len(self.origin) != len(self.secants):
-            raise ValueError("origin tags must align with secants")
         keys = self.secants.keys()
         if np.unique(keys).size != keys.size:
             raise ValueError("duplicate pair in active set")
@@ -108,9 +100,7 @@ def sample_initial_secants(q: int, data: Dataset, config: CgConfig) -> ActiveSet
     total = secant_count(q)
     rng = np.random.default_rng(config.scan_seed)
     t = sample_pair_indices(total, config.init_sample_size, rng)
-    i_idx, j_idx = decode_pair_indices(t)
-    batch = SecantBatch(i_idx, j_idx, pair_distances(data.points, i_idx, j_idx))
-    return ActiveSet(batch, np.full(len(batch), "initial", dtype="<U16"), 0)
+    return ActiveSet(SecantBatch.from_pairs(data.points, *decode_pair_indices(t)))
 
 
 def identify_active(codes: BinaryCodes, lam: float, secants: SecantBatch,
@@ -144,72 +134,51 @@ def _scan_positions(total: int, seed: int):
     return off, step
 
 
-def _scan_range(codes, points, lam, delta_hat, total, off, step, lo, hi,
-                batch_limit):
-    """Scan stream positions [lo, hi), returning up to batch_limit violators
-    as (position, linear_index) pairs in stream order."""
-    found_pos = []
-    found_t = []
-    for start in range(lo, hi, SCAN_CHUNK):
-        stop = min(start + SCAN_CHUNK, hi)
-        pos = np.arange(start, stop, dtype=np.int64)
-        t = (off + pos * step) % total
-        i_idx, j_idx = decode_pair_indices(t)
-        resid = np.abs(lam * hamming_pairs(codes, i_idx, j_idx)
-                       - pair_distances(points, i_idx, j_idx))
-        hit = np.nonzero(resid > delta_hat)[0]
-        if hit.size:
-            found_pos.append(pos[hit])
-            found_t.append(t[hit])
-            if sum(a.size for a in found_pos) >= batch_limit:
-                break
-    if not found_pos:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(found_pos), np.concatenate(found_t)
-
-
 def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
                    delta_hat: float, batch_limit: int, seed: int,
                    n_threads: int = 1) -> tuple[SecantBatch, bool]:
-    """Stream every pair in seeded pseudo-random order, collecting secants
-    whose quantized residual exceeds delta_hat, until batch_limit are found
-    or the stream is exhausted.
+    """Secants whose quantized residual exceeds delta_hat: the batch_limit
+    of them that come first in a seeded pseudo-random walk of the pair
+    stream, in walk order.
 
-    Returns (violators, scanned_all); scanned_all is True exactly when the
-    stream was exhausted finding nothing. Memory is O(batch_limit + chunk);
-    partitioned scanning with several threads returns the identical result.
+    Every row is scanned. A violator at stream position t is ranked by its
+    place p = (t - off) * step^-1 mod total in the walk of
+    :func:`_scan_positions`, and each block of rows keeps only the
+    batch_limit smallest p, so memory is O(batch_limit + Q) and any
+    ``n_threads`` returns the identical result.
+
+    Returns (violators, scanned_all); scanned_all is True exactly when no
+    pair violates.
     """
     if delta_hat < 0:
         raise ValueError("delta_hat must be nonnegative")
     total = secant_count(data.q)
     off, step = _scan_positions(total, seed)
+    inv = pow(step, -1, total)
 
-    if n_threads <= 1:
-        pos, t = _scan_range(codes, data.points, lam, delta_hat, total, off,
-                             step, 0, total, batch_limit)
-    else:
-        bounds = np.linspace(0, total, n_threads + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(
-                lambda se: _scan_range(codes, data.points, lam, delta_hat,
-                                       total, off, step, int(se[0]),
-                                       int(se[1]), batch_limit),
-                zip(bounds[:-1], bounds[1:]),
-            ))
-        pos = np.concatenate([p for p, _ in parts])
-        t = np.concatenate([x for _, x in parts])
-        order = np.argsort(pos, kind="stable")
-        pos, t = pos[order], t[order]
+    def first(p, t):
+        keep = np.argsort(p)[:batch_limit]
+        return p[keep], t[keep]
 
-    if pos.size > batch_limit:
-        pos, t = pos[:batch_limit], t[:batch_limit]
-    i_idx, j_idx = decode_pair_indices(t)
-    violators = SecantBatch(i_idx, j_idx, pair_distances(data.points, i_idx, j_idx))
-    scanned_all = pos.size == 0
-    return violators, scanned_all
+    def scan(lo: int, hi: int):
+        p = t = np.empty(0, dtype=np.int64)
+        for i, c, h in walk_rows(data.points, codes, lo, hi):
+            hit = i * (i - 1) // 2 + np.nonzero(np.abs(lam * h - c) > delta_hat)[0]
+            if hit.size:
+                p = np.concatenate([p, (hit - off) * inv % total])
+                t = np.concatenate([t, hit])
+                if p.size > 2 * batch_limit:
+                    p, t = first(p, t)
+        return first(p, t)
+
+    parts = map_row_blocks(scan, data.q, n_threads)
+    p, t = first(np.concatenate([p for p, _ in parts]),
+                 np.concatenate([t for _, t in parts]))
+    violators = SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
+    return violators, p.size == 0
 
 
-def _union(active: SecantBatch, active_origin, violators: SecantBatch) -> ActiveSet:
+def _union(active: SecantBatch, violators: SecantBatch) -> ActiveSet:
     """Merge, dropping violators already present; a pair enters at most once."""
     keys_a = active.keys()
     keys_v = violators.keys()
@@ -217,24 +186,11 @@ def _union(active: SecantBatch, active_origin, violators: SecantBatch) -> Active
     i = np.concatenate([active.i, violators.i[fresh]])
     j = np.concatenate([active.j, violators.j[fresh]])
     c = np.concatenate([active.c, violators.c[fresh]])
-    origin = np.concatenate([
-        active_origin,
-        np.full(int(fresh.sum()), "violator", dtype="<U16"),
-    ])
-    return ActiveSet(SecantBatch(i, j, c), origin, 0)
+    return ActiveSet(SecantBatch(i, j, c))
 
 
 # ---------------------------------------------------------------------------
 # driver
-
-
-def _emit(progress, record):
-    if progress is None:
-        return
-    if hasattr(progress, "write"):
-        progress.write(json.dumps(record) + "\n")
-    else:
-        progress(record)
 
 
 def train_nibh_cg(
@@ -273,7 +229,6 @@ def train_nibh_cg(
     mask = identify_active(codes, lam_hat, active_set.secants, delta_hat,
                            config.active_tol, config.active_cap)
     active = active_set.secants.subset(mask)
-    active_origin = np.full(len(active), "active-carryover", dtype="<U16")
 
     history = []
     violators_total = 0
@@ -298,8 +253,7 @@ def train_nibh_cg(
             break
         violators_total += len(violators)
 
-        merged = _union(active, active_origin, violators)
-        merged.generation = gen
+        merged = _union(active, violators)
         # memory contract: what is resident never beats the sampled start
         # plus one batch per generation
         assert len(merged) <= init_size + gen * config.violator_batch, \
@@ -316,8 +270,6 @@ def train_nibh_cg(
         mask = identify_active(codes, lam_hat, merged.secants, delta_hat,
                                config.active_tol, config.active_cap)
         active = merged.secants.subset(mask)
-        active_origin = merged.origin[mask].copy()
-        active_origin[:] = "active-carryover"
 
     report = CgReport(
         generations=gen,

@@ -1,5 +1,11 @@
 """Core types and pure functions: quantized hashing, the sigmoid surrogate,
-pair distances, and constant-memory secant-stream indexing.
+pair distances, and the secant stream.
+
+The stream lists every pair (i, j), i > j, in lexicographic order; pair
+(i, j) sits at position i(i-1)/2 + j. Every full pass over it goes through
+one row walk, :func:`walk_rows`: row i holds the pairs (i, 0) ... (i, i-1),
+so a pass holds one row of distances at a time, O(Q) memory, and visits
+pairs in stream order. :func:`map_row_blocks` splits the rows among threads.
 
 Everything here is stateless and safe to call from multiple threads. Solver
 arithmetic is float64 throughout; binary codes are bit-packed and compared
@@ -8,7 +14,8 @@ with XOR + popcount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -23,17 +30,15 @@ __all__ = [
     "hash_codes",
     "hash_matrix",
     "sigmoid",
-    "sigmoid_prime",
     "sigmoid_embed",
-    "relaxed_pair_dist",
     "relaxed_pair_dists",
-    "hamming_pair_dist",
     "hamming_pairs",
-    "enumerate_secants",
     "secant_count",
     "pair_linear_index",
     "decode_pair_indices",
     "pair_distances",
+    "walk_rows",
+    "map_row_blocks",
     "sample_pair_indices",
     "random_projection_matrix",
 ]
@@ -144,6 +149,13 @@ class SecantBatch:
         j = np.asarray(j, dtype=np.int64)
         return cls(i, j, pair_distances(points, i, j))
 
+    @classmethod
+    def all_pairs(cls, points: np.ndarray) -> "SecantBatch":
+        """Every pair, in stream order, with true ambient distances as
+        targets (the same values :meth:`from_pairs` gives)."""
+        i, j = decode_pair_indices(np.arange(secant_count(len(points))))
+        return cls(i, j, np.concatenate([c for _, c, _ in walk_rows(points)]))
+
 
 @dataclass
 class HashModel:
@@ -224,12 +236,6 @@ def sigmoid(t, alpha: float = 1.0):
     return expit(alpha * np.asarray(t, dtype=np.float64))
 
 
-def sigmoid_prime(t, alpha: float = 1.0):
-    """Derivative of :func:`sigmoid` with respect to t."""
-    s = sigmoid(t, alpha)
-    return alpha * s * (1.0 - s)
-
-
 def hash_matrix(w: np.ndarray, points: np.ndarray) -> BinaryCodes:
     """Quantize points through W: bit (q, m) = (1 + sgn(w_m . x_q)) / 2.
 
@@ -266,18 +272,13 @@ def sigmoid_embed(w: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
     return sigmoid(w @ x, alpha)
 
 
-def relaxed_pair_dist(w, x_i, x_j, alpha: float) -> float:
-    """Squared l2 distance between the sigmoid embeddings of two points.
+def relaxed_pair_dists(w, points, i_idx, j_idx, alpha: float) -> np.ndarray:
+    """Squared l2 distances between the sigmoid embeddings of the pairs
+    (i_idx, j_idx).
 
     This is the smooth surrogate for the Hamming distance of the quantized
-    codes; it lies in [0, M].
+    codes; each value lies in [0, M].
     """
-    d = sigmoid_embed(w, x_i, alpha) - sigmoid_embed(w, x_j, alpha)
-    return float(d @ d)
-
-
-def relaxed_pair_dists(w, points, i_idx, j_idx, alpha: float) -> np.ndarray:
-    """Batched :func:`relaxed_pair_dist` over secant index arrays."""
     s = sigmoid(np.asarray(points, dtype=np.float64) @ np.asarray(w).T, alpha)
     d = s[i_idx] - s[j_idx]
     return np.einsum("ij,ij->i", d, d)
@@ -287,17 +288,10 @@ def relaxed_pair_dists(w, points, i_idx, j_idx, alpha: float) -> np.ndarray:
 # Hamming distances on packed codes
 
 
-def hamming_pair_dist(codes: BinaryCodes, i: int, j: int) -> int:
-    """Popcount of the XOR of two packed rows; equals the squared l2
-    distance of the unpacked codes."""
-    q = codes.q
-    if not (0 <= i < q and 0 <= j < q):
-        raise IndexError(f"pair ({i}, {j}) out of range for {q} codes")
-    return int(np.bitwise_count(codes.packed[i] ^ codes.packed[j]).sum())
-
-
 def hamming_pairs(codes: BinaryCodes, i_idx, j_idx) -> np.ndarray:
-    """Vectorized Hamming distances for index arrays (i_idx, j_idx)."""
+    """Vectorized Hamming distances for index arrays (i_idx, j_idx): the
+    popcount of the XOR of packed rows, which equals the squared l2
+    distance of the unpacked codes."""
     x = codes.packed[i_idx] ^ codes.packed[j_idx]
     return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
 
@@ -317,16 +311,6 @@ def secant_count(q: int) -> int:
     if q < 2:
         raise ValueError(f"need Q >= 2, got {q}")
     return q * (q - 1) // 2
-
-
-def enumerate_secants(q: int) -> Iterator[tuple[int, int]]:
-    """Yield every pair (i, j) with i > j in lexicographic order,
-    constant memory per step."""
-    if q < 2:
-        raise ValueError(f"need Q >= 2, got {q}")
-    for i in range(1, q):
-        for j in range(i):
-            yield (i, j)
 
 
 def pair_linear_index(i, j):
@@ -358,6 +342,50 @@ def pair_distances(points: np.ndarray, i_idx, j_idx) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
+def walk_rows(points: np.ndarray, codes: Optional[BinaryCodes] = None,
+              lo: int = 1, hi: Optional[int] = None,
+              pairs: Optional[tuple] = None
+              ) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
+    """Walk rows i in [lo, hi) (default: every row) of the pair stream,
+    yielding (i, c, h): the ambient distances c and Hamming distances h
+    (None without ``codes``) from point i to points 0 ... i-1. These are
+    stream positions i(i-1)/2 ... i(i+1)/2 - 1, in order, so
+    ``i*(i-1)//2 + argmax`` is the smallest position attaining a row's max.
+
+    ``pairs`` = (i_idx, j_idx), sorted by stream position, restricts each
+    row to the columns listed for it; rows with none are skipped.
+
+    The values are those of :func:`pair_distances` and :func:`hamming_pairs`
+    on gathered index arrays, bit for bit, without the gather.
+    """
+    hi = len(points) if hi is None else hi
+    if pairs is not None:
+        i_idx, j_idx = pairs
+        bounds = np.searchsorted(i_idx, np.arange(lo, hi + 1))
+    for i in range(lo, hi):
+        if pairs is None:
+            cols = slice(0, i)
+        else:
+            a, b = bounds[i - lo], bounds[i - lo + 1]
+            if a == b:
+                continue
+            cols = j_idx[a:b]
+        h = None if codes is None else hamming_pairs(codes, i, cols)
+        yield i, pair_distances(points, i, cols), h
+
+
+def map_row_blocks(fn, q: int, n_threads: int = 1) -> list:
+    """[fn(lo, hi) for each block], the rows [1, q) cut into ``n_threads``
+    contiguous blocks of near-equal pair count, in row order. Blocks run on
+    a thread pool, or serially as one block when ``n_threads`` is 1."""
+    if n_threads <= 1:
+        return [fn(1, q)]
+    cuts = np.linspace(0, secant_count(q), n_threads + 1)[1:-1].astype(np.int64)
+    rows = [1, *decode_pair_indices(cuts)[0].tolist(), q]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return list(pool.map(fn, rows[:-1], rows[1:]))
+
+
 def sample_pair_indices(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct linear pair indices drawn uniformly from [0, total).
 
@@ -370,7 +398,9 @@ def sample_pair_indices(total: int, k: int, rng: np.random.Generator) -> np.ndar
     while pool.size < k:
         need = k - pool.size
         draw = rng.integers(0, total, size=int(need * 1.3) + 16, dtype=np.int64)
-        pool = np.unique(np.concatenate([pool, draw]))
+        # sorted distinct values, as np.unique gives, at a fraction of its cost
+        pool = np.sort(np.concatenate([pool, draw]))
+        pool = pool[np.concatenate(([True], pool[1:] != pool[:-1]))]
     if pool.size > k:
         keep = rng.permutation(pool.size)[:k]
         pool = np.sort(pool[keep])

@@ -21,14 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    HashModel,
-    SecantBatch,
-    decode_pair_indices,
-    pair_distances,
-    secant_count,
-)
+from .core import Dataset, HashModel, SecantBatch, secant_count
 
 __all__ = [
     "DataFormatError",
@@ -117,15 +110,13 @@ def bre_secant_selection(data: Dataset, low_frac: float = 0.05,
             f"Q={data.q} gives {total} pairs; fractions ({low_frac}, {high_frac}) "
             "select zero secants"
         )
-    t = np.arange(total, dtype=np.int64)
-    i_idx, j_idx = decode_pair_indices(t)
-    d = pair_distances(data.points, i_idx, j_idx)
-    order = np.lexsort((t, d))
+    pairs = SecantBatch.all_pairs(data.points)
+    order = np.argsort(pairs.c, kind="stable")  # ties keep stream order
     low = np.sort(order[:n_low])
     high = np.sort(order[total - n_high:])
-    i = np.concatenate([i_idx[low], i_idx[high]])
-    j = np.concatenate([j_idx[low], j_idx[high]])
-    c = np.concatenate([np.zeros(n_low), d[high]])
+    i = np.concatenate([pairs.i[low], pairs.i[high]])
+    j = np.concatenate([pairs.j[low], pairs.j[high]])
+    c = np.concatenate([np.zeros(n_low), pairs.c[high]])
     return SecantBatch(i, j, c)
 
 

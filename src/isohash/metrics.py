@@ -1,15 +1,18 @@
 """Evaluation metrics: worst-case distortion with its optimal scale, mean
 average precision over k-nearest neighbors, and Kendall tau rank correlation.
 
-The distortion scan streams pairs in fixed-size chunks, so no Q x Q structure
-is ever materialized; per-query neighbor metrics are embarrassingly parallel
-but cheap enough to run serially at desk scale.
+The distortion scan walks the pair stream one row at a time
+(:func:`core.walk_rows`), keeping only a running max, its position and a
+histogram, so memory is O(Q) and no Q x Q structure is ever materialized;
+with ``n_threads`` the rows are split into blocks of equal pair count. The
+scale fit reads Hamming distances of the (sampled) pairs from the packed
+codes and their ambient distances row by row. Per-query neighbor metrics are
+embarrassingly parallel but cheap enough to run serially at desk scale.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,9 +28,11 @@ from .core import (
     hamming_pairs,
     hamming_to_all,
     hash_codes,
+    map_row_blocks,
     pair_distances,
     sample_pair_indices,
     secant_count,
+    walk_rows,
 )
 
 __all__ = [
@@ -39,9 +44,6 @@ __all__ = [
     "kendall_tau_at_k",
     "report_json",
 ]
-
-# chunk of pair indices processed at a time during full-stream scans
-SCAN_CHUNK = 1 << 18
 
 # exact Chebyshev fit up to this many pairs; above it, fit on a uniform
 # sample of this size and keep the reported delta exact via the full pass
@@ -176,21 +178,6 @@ def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
 # worst-case distortion over a pair stream
 
 
-def _chunk_ranges(total: int, chunk: int):
-    for start in range(0, total, chunk):
-        yield start, min(start + chunk, total)
-
-
-def _residual_scan_chunk(codes, points, lam, start, stop, edges):
-    t = np.arange(start, stop, dtype=np.int64)
-    i_idx, j_idx = decode_pair_indices(t)
-    resid = np.abs(lam * hamming_pairs(codes, i_idx, j_idx)
-                   - pair_distances(points, i_idx, j_idx))
-    k = int(np.argmax(resid))
-    counts = np.histogram(resid, bins=edges)[0]
-    return float(resid[k]), start + k, counts
-
-
 def max_distortion(
     model: HashModel,
     data: Dataset,
@@ -235,13 +222,14 @@ def max_distortion(
 
     if lam is None:
         if total <= FIT_SAMPLE_LIMIT:
-            i_idx, j_idx = decode_pair_indices(np.arange(total, dtype=np.int64))
+            t = np.arange(total, dtype=np.int64)
         else:
             rng = np.random.default_rng(sample_seed)
             t = sample_pair_indices(total, FIT_SAMPLE_LIMIT, rng)
-            i_idx, j_idx = decode_pair_indices(t)
+        i_idx, j_idx = decode_pair_indices(t)
         v = hamming_pairs(codes, i_idx, j_idx).astype(np.float64)
-        c = pair_distances(points, i_idx, j_idx)
+        rows = walk_rows(points, pairs=(i_idx, j_idx))
+        c = np.concatenate([c_row for _, c_row, _ in rows])
         lam_star = _resolve_lambda(v, c, None)
     else:
         lam_star = float(lam)
@@ -251,18 +239,18 @@ def max_distortion(
     hi = max(lam_star * model.m, c_upper, 1e-300)
     edges = np.linspace(0.0, hi * (1 + 1e-12), histogram_bins + 1)
 
-    jobs = list(_chunk_ranges(total, SCAN_CHUNK))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _residual_scan_chunk(codes, points, lam_star, *se, edges),
-                    jobs,
-                )
-            )
-    else:
-        parts = [_residual_scan_chunk(codes, points, lam_star, a, b, edges) for a, b in jobs]
+    def scan(lo: int, hi: int):
+        delta, worst_t = -1.0, -1
+        counts = np.zeros(histogram_bins, dtype=np.int64)
+        for i, c, h in walk_rows(points, codes, lo, hi):
+            resid = np.abs(lam_star * h - c)
+            k = int(np.argmax(resid))
+            if resid[k] > delta:
+                delta, worst_t = float(resid[k]), i * (i - 1) // 2 + k
+            counts += np.histogram(resid, bins=edges)[0]
+        return delta, worst_t, counts
 
+    parts = map_row_blocks(scan, data.q, n_threads)
     delta, worst_t = -1.0, -1
     counts = np.zeros(histogram_bins, dtype=np.int64)
     for part_delta, part_t, part_counts in parts:

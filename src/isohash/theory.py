@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, HashModel, hamming_to_all, hash_codes, sigmoid
-from .metrics import max_distortion
+from .metrics import _check_queries, max_distortion
 
 __all__ = [
     "GaussianMixtureSpec",
@@ -147,11 +147,7 @@ def knn_sufficiency_check(model: HashModel, data: Dataset, queries=None,
     broken model) rather than bad luck.
     """
     q = data.q
-    if k < 1 or k > q - 2:
-        raise ValueError(f"k={k} out of range for {q} points")
-    if queries is None:
-        queries = np.arange(q)
-    queries = np.asarray(queries, dtype=np.int64)
+    queries = _check_queries(data, queries, k)
 
     delta = max_distortion(model, data, lam=model.lam).delta
     codes = hash_codes(model, data)

@@ -132,3 +132,18 @@ def brute_tau(points, bits, queries, k):
                     discordant += 1
         out.append((concordant - discordant) / (k * (k - 1) / 2))
     return out
+
+
+def sample_pair_indices_unique(total, k, rng):
+    """The rejection sampler of k distinct indices in [0, total), deduplicated
+    with np.unique after every draw; same rng calls as the library's."""
+    if k >= total:
+        return np.arange(total, dtype=np.int64)
+    pool = np.empty(0, dtype=np.int64)
+    while pool.size < k:
+        need = k - pool.size
+        draw = rng.integers(0, total, size=int(need * 1.3) + 16, dtype=np.int64)
+        pool = np.unique(np.concatenate([pool, draw]))
+    if pool.size > k:
+        pool = np.sort(pool[rng.permutation(pool.size)[:k]])
+    return pool

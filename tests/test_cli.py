@@ -92,6 +92,23 @@ class TestTrain:
         )
         assert res.returncode == 2
 
+    def test_bad_flag_values_usage_error(self, dataset_file, tmp_path):
+        for flags in (["--secants", "foo"], ["--secants", "sample:abc"],
+                      ["--secants", "sample:0"], ["--bits", "0"]):
+            args = ["train", "--data", str(dataset_file), "--algo", "nibh",
+                    "--bits", "4", "--max-iters", "2",
+                    "--out", str(tmp_path / "m.model"), *flags]
+            res = run_cli(*args, cwd=tmp_path)
+            assert res.returncode == 2, (flags, res.stderr)
+            assert "Traceback" not in res.stderr
+        res = run_cli(
+            "train", "--data", str(dataset_file), "--algo", "nibh",
+            "--bits", "4", "--max-iters", "2", "--secants", "sample:40",
+            "--out", str(tmp_path / "m.model"), cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["secant_count"] == 40
+
     def test_progress_file(self, dataset_file, tmp_path):
         out = tmp_path / "m.model"
         prog = tmp_path / "progress.jsonl"
@@ -127,6 +144,18 @@ class TestEval:
         doc = json.loads(res.stdout)
         # default nibh training uses all pairs: identical measurement path
         assert abs(doc["delta"] - train_doc["delta"]) <= 1e-12
+
+    def test_delta_rejects_neighbor_flags(self, dataset_file, trained):
+        d, model_path, _ = trained
+        qf = d / "delta_queries.txt"
+        qf.write_text("0\n5\n")
+        for flags in (["--k", "5"], ["--queries", str(qf)]):
+            res = run_cli(
+                "eval", "--model", str(model_path), "--data", str(dataset_file),
+                "--metric", "delta", *flags, cwd=d,
+            )
+            assert res.returncode == 2, (flags, res.stderr)
+            assert "Traceback" not in res.stderr
 
     def test_map_default_k50_needs_enough_points(self, dataset_file, trained):
         d, model_path, _ = trained
@@ -242,17 +271,3 @@ class TestCheck:
         )
         assert res.returncode == 2
         assert "k=59" in res.stderr and "Traceback" not in res.stderr
-
-
-class TestBench:
-    def test_smoke(self, tmp_path):
-        res = run_cli(
-            "bench", "--q", "30,60", "--bits", "4", "--dims", "10",
-            "--algo", "nibh-cg", "--max-iters", "5", cwd=tmp_path,
-        )
-        assert res.returncode == 0, res.stderr
-        doc = json.loads(res.stdout)
-        assert [r["q"] for r in doc["runs"]] == [30, 60]
-        for r in doc["runs"]:
-            assert r["phases_sec"]["train"] > 0
-            assert r["peak_resident_secants"] <= r["pairs"]

@@ -38,7 +38,6 @@ class TestSampleInitial:
         data = gen_random_dataset(4, 3, seed=0)
         active = sample_initial_secants(4, data, small_config(init_sample_size=6))
         assert len(active) == 6 == secant_count(4)
-        assert set(active.origin) == {"initial"}
 
     def test_deterministic_under_seed(self):
         data = gen_random_dataset(100, 5, seed=1)
@@ -174,7 +173,7 @@ class TestActiveSetType:
     def test_rejects_duplicates(self):
         sec = SecantBatch([2, 2], [0, 0], [1.0, 1.0])
         with pytest.raises(ValueError, match="duplicate"):
-            ActiveSet(sec, np.array(["initial", "initial"]), 0)
+            ActiveSet(sec)
 
 
 class TestTrainCg:

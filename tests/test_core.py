@@ -9,20 +9,33 @@ from isohash.core import (
     SecantBatch,
     SecantRef,
     decode_pair_indices,
-    enumerate_secants,
-    hamming_pair_dist,
     hamming_pairs,
     hash_matrix,
+    map_row_blocks,
     pair_distances,
     pair_linear_index,
     random_projection_matrix,
-    relaxed_pair_dist,
     relaxed_pair_dists,
     sample_pair_indices,
     secant_count,
     sigmoid,
     sigmoid_embed,
+    walk_rows,
 )
+
+from oracles import sample_pair_indices_unique
+
+
+def lexicographic_pairs(q):
+    return [(i, j) for i in range(1, q) for j in range(i)]
+
+
+def relaxed_one(w, x_i, x_j, alpha):
+    return relaxed_pair_dists(w, np.array([x_i, x_j]), [0], [1], alpha)[0]
+
+
+def hamming_one(codes, i, j):
+    return int(hamming_pairs(codes, [i], [j])[0])
 
 
 def scalar_hash_bit(w_row, x):
@@ -94,7 +107,7 @@ class TestRelaxedPairDist:
     def test_identical_inputs(self):
         w = np.array([[1.0, 2.0], [0.5, -1.0]])
         x = np.array([0.3, 0.4])
-        assert relaxed_pair_dist(w, x, x, 5.0) == 0.0
+        assert relaxed_one(w, x, x, 5.0) == 0.0
 
     def test_scalar_value(self):
         # M=1, W=[1,0], alpha=10: (sigma10(1) - sigma10(-1))^2
@@ -102,7 +115,7 @@ class TestRelaxedPairDist:
         s_neg = 1.0 / (1.0 + math.exp(10.0))
         expected = (s_pos - s_neg) ** 2
         assert expected == pytest.approx(0.9998184167690564, abs=1e-15)
-        got = relaxed_pair_dist(
+        got = relaxed_one(
             np.array([[1.0, 0.0]]), np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 10.0
         )
         assert got == pytest.approx(expected, abs=1e-14)
@@ -118,8 +131,8 @@ class TestRelaxedPairDist:
             si = 1.0 / (1.0 + math.exp(-alpha * float(w[m] @ xi)))
             sj = 1.0 / (1.0 + math.exp(-alpha * float(w[m] @ xj)))
             acc += (si - sj) ** 2
-        assert relaxed_pair_dist(w, xi, xj, alpha) == pytest.approx(acc, rel=1e-12)
-        assert 0.0 <= relaxed_pair_dist(w, xi, xj, alpha) <= 6.0
+        assert relaxed_one(w, xi, xj, alpha) == pytest.approx(acc, rel=1e-12)
+        assert 0.0 <= relaxed_one(w, xi, xj, alpha) <= 6.0
 
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(12)
@@ -129,21 +142,24 @@ class TestRelaxedPairDist:
         j_idx = np.array([0, 2, 1])
         batched = relaxed_pair_dists(w, pts, i_idx, j_idx, 2.5)
         for t in range(3):
-            assert batched[t] == pytest.approx(
-                relaxed_pair_dist(w, pts[i_idx[t]], pts[j_idx[t]], 2.5), rel=1e-12
-            )
+            acc = 0.0
+            for m in range(4):
+                si = 1.0 / (1.0 + math.exp(-2.5 * float(w[m] @ pts[i_idx[t]])))
+                sj = 1.0 / (1.0 + math.exp(-2.5 * float(w[m] @ pts[j_idx[t]])))
+                acc += (si - sj) ** 2
+            assert batched[t] == pytest.approx(acc, rel=1e-12)
 
 
 class TestHamming:
     def test_identical_rows(self):
         codes = BinaryCodes.from_bits(np.array([[1, 0, 1], [1, 0, 1]]))
-        assert hamming_pair_dist(codes, 0, 1) == 0
+        assert hamming_one(codes, 0, 1) == 0
 
     def test_complementary_rows(self):
         codes = BinaryCodes.from_bits(
             np.array([[0, 1, 0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0, 1, 0]])
         )
-        assert hamming_pair_dist(codes, 0, 1) == 8
+        assert hamming_one(codes, 0, 1) == 8
 
     def test_equals_unpacked_squared_l2(self):
         rng = np.random.default_rng(5)
@@ -152,7 +168,7 @@ class TestHamming:
         for i in range(12):
             for j in range(12):
                 diff = bits[i].astype(float) - bits[j].astype(float)
-                assert hamming_pair_dist(codes, i, j) == int(diff @ diff)
+                assert hamming_one(codes, i, j) == int(diff @ diff)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(6)
@@ -160,15 +176,15 @@ class TestHamming:
         codes = BinaryCodes.from_bits(bits)
         for _ in range(50):
             a, b, c = rng.integers(0, 9, size=3)
-            dab = hamming_pair_dist(codes, a, b)
-            assert dab == hamming_pair_dist(codes, b, a)
-            assert dab <= hamming_pair_dist(codes, a, c) + hamming_pair_dist(codes, c, b)
+            dab = hamming_one(codes, a, b)
+            assert dab == hamming_one(codes, b, a)
+            assert dab <= hamming_one(codes, a, c) + hamming_one(codes, c, b)
             assert 0 <= dab <= 33
 
     def test_index_out_of_range(self):
         codes = BinaryCodes.from_bits(np.array([[1, 0], [0, 1]]))
         with pytest.raises(IndexError):
-            hamming_pair_dist(codes, 0, 2)
+            hamming_one(codes, 0, 2)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -177,7 +193,7 @@ class TestHamming:
         i_idx = np.array([4, 9, 7, 1])
         j_idx = np.array([0, 3, 7, 0])
         got = hamming_pairs(codes, i_idx, j_idx)
-        want = [hamming_pair_dist(codes, int(a), int(b)) for a, b in zip(i_idx, j_idx)]
+        want = [int((bits[a] != bits[b]).sum()) for a, b in zip(i_idx, j_idx)]
         assert got.tolist() == want
 
 
@@ -196,26 +212,28 @@ class TestPackRoundTrip:
 
 class TestSecantStream:
     def test_q3_explicit(self):
-        assert list(enumerate_secants(3)) == [(1, 0), (2, 0), (2, 1)]
+        i, j = decode_pair_indices(np.arange(3))
+        assert list(zip(i.tolist(), j.tolist())) == [(1, 0), (2, 0), (2, 1)]
         assert secant_count(3) == 3
 
     def test_q100_count(self):
         assert secant_count(100) == 4950
-        assert sum(1 for _ in enumerate_secants(100)) == 4950
+        assert len(lexicographic_pairs(100)) == 4950
 
     def test_large_count_without_materialization(self):
         assert secant_count(240_000) == 28_799_880_000
 
     def test_each_unordered_pair_once(self):
         for q in (2, 3, 5, 8):
-            pairs = list(enumerate_secants(q))
-            assert len(pairs) == secant_count(q)
+            i, j = decode_pair_indices(np.arange(secant_count(q)))
+            pairs = list(zip(i.tolist(), j.tolist()))
+            assert pairs == lexicographic_pairs(q)
             assert len(set(frozenset(p) for p in pairs)) == len(pairs)
             assert all(i > j for i, j in pairs)
 
     def test_linear_index_round_trip(self):
         q = 50
-        pairs = np.array(list(enumerate_secants(q)))
+        pairs = np.array(lexicographic_pairs(q))
         t = pair_linear_index(pairs[:, 0], pairs[:, 1])
         np.testing.assert_array_equal(t, np.arange(secant_count(q)))
         i, j = decode_pair_indices(t)
@@ -243,6 +261,51 @@ class TestPairDistances:
             assert got[t] == pytest.approx(want, rel=1e-12)
 
 
+class TestRowWalk:
+    def setup_method(self):
+        rng = np.random.default_rng(14)
+        self.pts = rng.standard_normal((23, 7))
+        self.codes = hash_matrix(rng.standard_normal((11, 7)), self.pts)
+
+    def test_rows_equal_gathered_pairs_bit_for_bit(self):
+        i_idx, j_idx = decode_pair_indices(np.arange(secant_count(23)))
+        rows = list(walk_rows(self.pts, self.codes))
+        assert [i for i, _, _ in rows] == list(range(1, 23))
+        np.testing.assert_array_equal(np.concatenate([c for _, c, _ in rows]),
+                                      pair_distances(self.pts, i_idx, j_idx))
+        np.testing.assert_array_equal(np.concatenate([h for _, _, h in rows]),
+                                      hamming_pairs(self.codes, i_idx, j_idx))
+        batch = SecantBatch.all_pairs(self.pts)
+        np.testing.assert_array_equal(batch.i, i_idx)
+        np.testing.assert_array_equal(batch.j, j_idx)
+        np.testing.assert_array_equal(
+            batch.c, SecantBatch.from_pairs(self.pts, i_idx, j_idx).c)
+
+    def test_pair_subset_and_row_range(self):
+        t = np.array([0, 4, 5, 30, 31, 33, 200, 252])
+        i_idx, j_idx = decode_pair_indices(t)
+        rows = list(walk_rows(self.pts, self.codes, pairs=(i_idx, j_idx)))
+        assert [i for i, _, _ in rows] == sorted(set(i_idx.tolist()))
+        np.testing.assert_array_equal(np.concatenate([c for _, c, _ in rows]),
+                                      pair_distances(self.pts, i_idx, j_idx))
+        np.testing.assert_array_equal(np.concatenate([h for _, _, h in rows]),
+                                      hamming_pairs(self.codes, i_idx, j_idx))
+        assert [i for i, _, _ in walk_rows(self.pts, lo=5, hi=9)] == [5, 6, 7, 8]
+        assert all(h is None for _, _, h in walk_rows(self.pts))
+
+    @pytest.mark.parametrize("q", [2, 3, 23, 400])
+    def test_blocks_cover_rows_in_order(self, q):
+        for n_threads in (1, 2, 3, 5):
+            blocks = map_row_blocks(lambda lo, hi: (lo, hi), q, n_threads)
+            assert len(blocks) == n_threads
+            assert blocks[0][0] == 1 and blocks[-1][1] == q
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all(lo <= hi for lo, hi in blocks)
+            if q == 400:  # near-equal pair counts once rows are short
+                sizes = [hi * (hi - 1) // 2 - lo * (lo - 1) // 2 for lo, hi in blocks]
+                assert max(sizes) - min(sizes) <= 2 * q
+
+
 class TestSamplePairs:
     def test_whole_population(self):
         rng = np.random.default_rng(0)
@@ -260,6 +323,14 @@ class TestSamplePairs:
         a = sample_pair_indices(1000, 50, np.random.default_rng(42))
         b = sample_pair_indices(1000, 50, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("total,k", [(1000, 50), (1000, 499), (1000, 500),
+                                         (1001, 999), (45, 44), (10**7, 20_000)])
+    def test_matches_unique_reference(self, total, k):
+        for seed in range(3):
+            got = sample_pair_indices(total, k, np.random.default_rng(seed))
+            want = sample_pair_indices_unique(total, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestQuantizerVsSigmoid:

@@ -143,3 +143,10 @@ class TestKnnSufficiency:
         model = lsh_model(4, 3, seed=0)
         with pytest.raises(ValueError):
             knn_sufficiency_check(model, data, k=9)
+
+    def test_query_range_validated(self):
+        data = Dataset(np.random.default_rng(0).standard_normal((10, 3)))
+        model = lsh_model(4, 3, seed=0)
+        for queries in ([-1], [0, 10], []):
+            with pytest.raises(ValueError, match="query"):
+                knn_sufficiency_check(model, data, queries=queries, k=2)
