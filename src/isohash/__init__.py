@@ -15,7 +15,6 @@ from .core import (
     SecantRef,
     hash_codes,
     secant_count,
-    sigmoid_embed,
 )
 
 __version__ = "0.1.0"
@@ -28,6 +27,5 @@ __all__ = [
     "SecantRef",
     "hash_codes",
     "secant_count",
-    "sigmoid_embed",
     "__version__",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "DivergenceError",
     "augmented_loss",
     "w_step",
-    "w_subproblem_loss",
     "u_step",
     "project_l1_ball",
     "lambda_step",
@@ -108,12 +107,10 @@ class SolverState:
 # the four update steps
 
 
-def augmented_loss(state: SolverState, secants: SecantBatch, data: Dataset,
-                   rho: float = 1.0) -> float:
-    """||u||_inf + (rho/2) ||u - lambda v(W) + c + y||^2 at the current state."""
-    v = relaxed_pair_dists(state.w, data.points, secants.i, secants.j, state.alpha)
-    r = state.u - state.lam * v + secants.c + state.y
-    uinf = float(np.max(np.abs(state.u))) if state.u.size else 0.0
+def augmented_loss(u, v, c, y, lam: float, rho: float = 1.0) -> float:
+    """||u||_inf + (rho/2) ||u - lambda v + c + y||^2 for relaxed distances v."""
+    r = u - lam * v + c + y
+    uinf = float(np.max(np.abs(u))) if u.size else 0.0
     return uinf + 0.5 * rho * float(r @ r)
 
 
@@ -142,15 +139,6 @@ def _w_loss_grad(w, points, i_idx, j_idx, c, u, y, lam, alpha, want_grad=True):
             f"({int(i_idx[bad])}, {int(j_idx[bad])})"
         )
     return f, grad
-
-
-def w_subproblem_loss(state: SolverState, secants: SecantBatch, data: Dataset) -> float:
-    """0.5 * sum of squared residuals r = u - lambda v(W) + c + y."""
-    f, _ = _w_loss_grad(
-        state.w, data.points, secants.i, secants.j, secants.c,
-        state.u, state.y, state.lam, state.alpha, want_grad=False,
-    )
-    return f
 
 
 def _agd(f_grad, f_only, w0, iters, tol):
@@ -378,7 +366,7 @@ def train_nibh(
             state.loss_history.append((it + 1, best[0], delta))
             break
 
-        aug = augmented_loss(state, secants, data, config.rho)
+        aug = augmented_loss(state.u, v, c, state.y, state.lam, config.rho)
         if aug_prev is not None and \
                 abs(aug - aug_prev) <= config.convergence_tol * max(1.0, abs(aug_prev)):
             state.converged = True

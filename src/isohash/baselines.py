@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, HashModel, SecantBatch, random_projection_matrix
+from .core import (Dataset, HashModel, SecantBatch, random_projection_matrix,
+                   ranked_neighbors)
 from .metrics import fit_lambda_chebyshev, max_distortion
 
 __all__ = [
@@ -119,15 +120,11 @@ def nn_order_preserved(points: np.ndarray, angle: float, query_idx: int = 0):
     orders list the other point indices nearest-first (ties by index).
     """
     points = np.asarray(points, dtype=np.float64)
-    q = points.shape[0]
     d_amb = np.linalg.norm(points - points[query_idx], axis=1)
     proj = points @ np.array([np.cos(angle), np.sin(angle)])
     d_emb = np.abs(proj - proj[query_idx])
-    idx = np.arange(q)
-    ambient = np.lexsort((idx, d_amb))
-    ambient = ambient[ambient != query_idx]
-    projected = np.lexsort((idx, d_emb))
-    projected = projected[projected != query_idx]
+    ambient = ranked_neighbors(d_amb, query_idx)
+    projected = ranked_neighbors(d_emb, query_idx)
     return bool(np.array_equal(ambient, projected)), ambient, projected
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -105,10 +104,7 @@ def _open_progress(spec: str | None):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("ISOHASH_THREADS")
-    return max(1, int(env)) if env else 1
+    return max(1, args.threads)
 
 
 def _load_for_training(path: str) -> Dataset:
@@ -403,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Binary hashing by worst-case distance-distortion "
                     "minimization: training, evaluation, demos, checks.",
     )
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for parallel scans "
-                        "(default: ISOHASH_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for parallel scans (default: 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a hashing model")

@@ -103,19 +103,16 @@ def sample_initial_secants(q: int, data: Dataset, config: CgConfig) -> ActiveSet
     return ActiveSet(SecantBatch.from_pairs(data.points, *decode_pair_indices(t)))
 
 
-def identify_active(codes: BinaryCodes, lam: float, secants: SecantBatch,
-                    delta_hat: float, active_tol: float,
+def identify_active(resid: np.ndarray, delta_hat: float, active_tol: float,
                     cap: Optional[int] = None) -> np.ndarray:
-    """Mask of secants whose quantized residual reaches
+    """Mask of the secants whose quantized residual ``resid`` reaches
     (1 - active_tol) * delta_hat; at most ``cap`` survive (largest first)."""
-    resid = np.abs(lam * hamming_pairs(codes, secants.i, secants.j) - secants.c)
     mask = resid >= (1.0 - active_tol) * delta_hat
     if cap is not None and int(mask.sum()) > cap:
         # keep the largest residuals; ties resolved by pair order
         idx = np.nonzero(mask)[0]
-        order = np.lexsort((idx, -resid[idx]))
-        keep = idx[order[:cap]]
-        mask = np.zeros(len(secants), dtype=bool)
+        keep = idx[np.argsort(-resid[idx], kind="stable")[:cap]]
+        mask = np.zeros(resid.size, dtype=bool)
         mask[keep] = True
     return mask
 
@@ -213,34 +210,31 @@ def train_nibh_cg(
     if config is None:
         config = CgConfig()
 
-    active_set = sample_initial_secants(data.q, data, config)
-    init_size = len(active_set)
-    peak = init_size
-
-    model, _state = train_nibh(data, active_set.secants, m, config.inner, w0=w0)
-    lam_hat = model.lam  # frozen for the rest of the run
-
-    codes = hash_codes(model, data)
-    resid = np.abs(lam_hat * hamming_pairs(codes, active_set.secants.i,
-                                           active_set.secants.j)
-                   - active_set.secants.c)
-    delta_hat = float(resid.max())
-
-    mask = identify_active(codes, lam_hat, active_set.secants, delta_hat,
-                           config.active_tol, config.active_cap)
-    active = active_set.secants.subset(mask)
-
+    secants = sample_initial_secants(data.q, data, config).secants
+    init_size = peak = len(secants)
+    lam_hat = None  # fitted by the first solve, frozen for the rest of the run
     history = []
     violators_total = 0
     fully_satisfied = False
-    gen = 0
-    for gen in range(1, config.max_generations + 1):
+    for gen in range(config.max_generations + 1):
+        model, _state = train_nibh(data, secants, m, config.inner, w0=w0,
+                                   fixed_lambda=lam_hat)
+        lam_hat, w0 = model.lam, model.w
+        codes = hash_codes(model, data)
+        resid = np.abs(lam_hat * hamming_pairs(codes, secants.i, secants.j)
+                       - secants.c)
+        delta_hat = float(resid.max())
+        active = secants.subset(identify_active(
+            resid, delta_hat, config.active_tol, config.active_cap))
+        if gen == config.max_generations:
+            break
+
         violators, scanned_all = scan_violators(
             codes, data, lam_hat, delta_hat, config.violator_batch,
-            seed=config.scan_seed + gen, n_threads=n_threads,
+            seed=config.scan_seed + gen + 1, n_threads=n_threads,
         )
         record = {
-            "generation": gen,
+            "generation": gen + 1,
             "active_size": len(active),
             "violators_found": len(violators),
             "delta_hat": delta_hat,
@@ -249,27 +243,15 @@ def train_nibh_cg(
         _emit(progress, record)
         if len(violators) == 0:
             fully_satisfied = scanned_all
-            gen -= 1  # this generation ran no solve
             break
         violators_total += len(violators)
 
-        merged = _union(active, violators)
+        secants = _union(active, violators).secants
         # memory contract: what is resident never beats the sampled start
         # plus one batch per generation
-        assert len(merged) <= init_size + gen * config.violator_batch, \
+        assert len(secants) <= init_size + (gen + 1) * config.violator_batch, \
             "resident secants exceed the column-generation memory contract"
-        peak = max(peak, len(merged))
-
-        model, _state = train_nibh(data, merged.secants, m, config.inner,
-                                   w0=model.w, fixed_lambda=lam_hat)
-        codes = hash_codes(model, data)
-        resid = np.abs(lam_hat * hamming_pairs(codes, merged.secants.i,
-                                               merged.secants.j)
-                       - merged.secants.c)
-        delta_hat = float(resid.max())
-        mask = identify_active(codes, lam_hat, merged.secants, delta_hat,
-                               config.active_tol, config.active_cap)
-        active = merged.secants.subset(mask)
+        peak = max(peak, len(secants))
 
     report = CgReport(
         generations=gen,

@@ -7,6 +7,11 @@ one row walk, :func:`walk_rows`: row i holds the pairs (i, 0) ... (i, i-1),
 so a pass holds one row of distances at a time, O(Q) memory, and visits
 pairs in stream order. :func:`map_row_blocks` splits the rows among threads.
 
+Neighbor measurements read whole query rows instead: :func:`query_rows`
+yields the ambient and Hamming distances from each query to every point,
+and :func:`ranked_neighbors` is the one ranking rule applied to them
+(nearest first, ties by ascending index, the query itself excluded).
+
 Everything here is stateless and safe to call from multiple threads. Solver
 arithmetic is float64 throughout; binary codes are bit-packed and compared
 with XOR + popcount.
@@ -30,7 +35,6 @@ __all__ = [
     "hash_codes",
     "hash_matrix",
     "sigmoid",
-    "sigmoid_embed",
     "relaxed_pair_dists",
     "hamming_pairs",
     "secant_count",
@@ -39,6 +43,8 @@ __all__ = [
     "pair_distances",
     "walk_rows",
     "map_row_blocks",
+    "query_rows",
+    "ranked_neighbors",
     "sample_pair_indices",
     "random_projection_matrix",
 ]
@@ -261,17 +267,6 @@ def hash_codes(model: HashModel, data: Dataset) -> BinaryCodes:
     return hash_matrix(model.w, data.points)
 
 
-def sigmoid_embed(w: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
-    """Smooth embedding sigma_alpha(W x); every entry lies in (0, 1)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != w.shape[1]:
-        raise ValueError(f"dimension mismatch: x is {x.shape}, W is {w.shape}")
-    return sigmoid(w @ x, alpha)
-
-
 def relaxed_pair_dists(w, points, i_idx, j_idx, alpha: float) -> np.ndarray:
     """Squared l2 distances between the sigmoid embeddings of the pairs
     (i_idx, j_idx).
@@ -293,12 +288,6 @@ def hamming_pairs(codes: BinaryCodes, i_idx, j_idx) -> np.ndarray:
     popcount of the XOR of packed rows, which equals the squared l2
     distance of the unpacked codes."""
     x = codes.packed[i_idx] ^ codes.packed[j_idx]
-    return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
-
-
-def hamming_to_all(codes: BinaryCodes, i: int) -> np.ndarray:
-    """Hamming distance from row i to every row (including itself)."""
-    x = codes.packed ^ codes.packed[i]
     return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
 
 
@@ -384,6 +373,28 @@ def map_row_blocks(fn, q: int, n_threads: int = 1) -> list:
     rows = [1, *decode_pair_indices(cuts)[0].tolist(), q]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         return list(pool.map(fn, rows[:-1], rows[1:]))
+
+
+def query_rows(points: np.ndarray, codes: BinaryCodes, queries
+               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """For each query q, yield (q, c, h): the ambient distances c and the
+    Hamming distances h from point q to every point, itself included.
+
+    c is the plain row norm, not the einsum of :func:`pair_distances`:
+    on tie-heavy data the two differ in the last bit and would rank tied
+    neighbors differently."""
+    for q in queries:
+        q = int(q)
+        yield (q, np.linalg.norm(points - points[q], axis=1),
+               hamming_pairs(codes, q, slice(None)))
+
+
+def ranked_neighbors(dist: np.ndarray, query: int,
+                     k: Optional[int] = None) -> np.ndarray:
+    """Indices of every point but ``query``, nearest first by ``dist`` with
+    ties broken by ascending index; the first k of them when k is given."""
+    order = np.argsort(dist, kind="stable")
+    return order[order != query][:k]
 
 
 def sample_pair_indices(total: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,8 +6,9 @@ The distortion scan walks the pair stream one row at a time
 histogram, so memory is O(Q) and no Q x Q structure is ever materialized;
 with ``n_threads`` the rows are split into blocks of equal pair count. The
 scale fit reads Hamming distances of the (sampled) pairs from the packed
-codes and their ambient distances row by row. Per-query neighbor metrics are
-embarrassingly parallel but cheap enough to run serially at desk scale.
+codes and their ambient distances row by row. The neighbor metrics read one
+query row at a time (:func:`core.query_rows`), O(Q) memory per query, and
+rank it with the shared rule :func:`core.ranked_neighbors`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .core import (
     SecantRef,
     decode_pair_indices,
     hamming_pairs,
-    hamming_to_all,
     hash_codes,
     map_row_blocks,
     pair_distances,
+    query_rows,
+    ranked_neighbors,
     sample_pair_indices,
     secant_count,
     walk_rows,
@@ -287,14 +289,6 @@ def _resolve_lambda(v: np.ndarray, c: np.ndarray, lam: Optional[float]) -> float
 # neighbor preservation
 
 
-def _ranked_neighbors(dist: np.ndarray, self_idx: int, k: int) -> np.ndarray:
-    """Indices of the k nearest candidates, ties broken by ascending index;
-    the query itself is excluded."""
-    order = np.lexsort((np.arange(dist.size), dist))
-    order = order[order != self_idx]
-    return order[:k]
-
-
 def _check_queries(data: Dataset, queries, k: int, k_min: int = 1):
     q = data.q
     if k < k_min:
@@ -322,13 +316,10 @@ def map_at_k(
     """
     queries = _check_queries(data, queries, k)
     codes = hash_codes(model, data)
-    pts = data.points
     ap = np.empty(queries.size, dtype=np.float64)
-    for qi, idx in enumerate(queries):
-        d_amb = np.linalg.norm(pts - pts[idx], axis=1)
-        d_ham = hamming_to_all(codes, int(idx)).astype(np.float64)
-        ambient = _ranked_neighbors(d_amb, int(idx), k)
-        hamming = _ranked_neighbors(d_ham, int(idx), k)
+    for qi, (q, c, h) in enumerate(query_rows(data.points, codes, queries)):
+        ambient = ranked_neighbors(c, q, k)
+        hamming = ranked_neighbors(h, q, k)
         ap[qi] = np.intersect1d(ambient, hamming).size / k
     return NeighborReport(k=k, map=float(ap.mean()), per_query_ap=ap)
 
@@ -343,22 +334,16 @@ def kendall_tau_at_k(
     ambient k-NN set (ties resolved by ascending index before counting)."""
     queries = _check_queries(data, queries, k, k_min=2)
     codes = hash_codes(model, data)
-    pts = data.points
     taus = np.empty(queries.size, dtype=np.float64)
-    n_pairs = k * (k - 1) // 2
-    for qi, idx in enumerate(queries):
-        d_amb = np.linalg.norm(pts - pts[idx], axis=1)
-        members = _ranked_neighbors(d_amb, int(idx), k)  # ambient order
-        d_ham = hamming_to_all(codes, int(idx))[members]
+    upper = np.triu_indices(k, 1)
+    for qi, (q, c, h) in enumerate(query_rows(data.points, codes, queries)):
+        members = ranked_neighbors(c, q, k)  # ambient order
         # rank of each member in the Hamming ordering (ties by index)
-        ham_order = np.lexsort((members, d_ham))
         rank = np.empty(k, dtype=np.int64)
-        rank[ham_order] = np.arange(k)
-        concordant = 0
-        for a in range(k):
-            for b in range(a + 1, k):
-                concordant += 1 if rank[b] > rank[a] else -1
-        taus[qi] = concordant / n_pairs
+        rank[np.lexsort((members, h[members]))] = np.arange(k)
+        # +1 per concordant pair a < b, -1 per discordant one
+        concordant = int(np.sign(rank[upper[1]] - rank[upper[0]]).sum())
+        taus[qi] = concordant / len(upper[0])
     return NeighborReport(k=k, mean_tau=float(taus.mean()), per_query_tau=taus)
 
 

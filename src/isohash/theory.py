@@ -11,61 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, HashModel, hamming_to_all, hash_codes, sigmoid
+from .core import Dataset, HashModel, hash_codes, query_rows, ranked_neighbors, sigmoid
 from .metrics import _check_queries, max_distortion
 
 __all__ = [
-    "GaussianMixtureSpec",
     "GapReport",
     "lemma1_empirical",
     "sigmoid_quantizer_gap_bound",
     "knn_sufficiency_check",
-    "sample_mixture",
 ]
-
-
-@dataclass
-class GaussianMixtureSpec:
-    """Mixture of Gaussians: weights, component means, component covariances."""
-
-    weights: np.ndarray
-    means: np.ndarray  # P x N
-    covs: np.ndarray  # P x N x N
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.covs = np.asarray(self.covs, dtype=np.float64)
-        if self.covs.ndim == 2:
-            self.covs = self.covs[None, :, :]
-        p, n = self.means.shape
-        if self.weights.shape != (p,) or self.covs.shape != (p, n, n):
-            raise ValueError(
-                f"inconsistent mixture shapes: weights {self.weights.shape}, "
-                f"means {self.means.shape}, covs {self.covs.shape}"
-            )
-        if np.any(self.weights < 0):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {self.weights.sum()!r}, not 1")
-        for k, cov in enumerate(self.covs):
-            if not np.allclose(cov, cov.T, atol=1e-9):
-                raise ValueError(f"covariance {k} is not symmetric")
-            eigmin = float(np.linalg.eigvalsh(cov).min())
-            scale = max(1.0, float(np.abs(cov).max()))
-            if eigmin < -1e-9 * scale:
-                raise ValueError(
-                    f"covariance {k} is not positive semidefinite "
-                    f"(min eigenvalue {eigmin:g})"
-                )
-
-    @property
-    def p(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.means.shape[1]
 
 
 @dataclass
@@ -146,31 +100,22 @@ def knn_sufficiency_check(model: HashModel, data: Dataset, queries=None,
     sit within the Hamming k-NN radius, so any violation is a bug (or a
     broken model) rather than bad luck.
     """
-    q = data.q
     queries = _check_queries(data, queries, k)
-
     delta = max_distortion(model, data, lam=model.lam).delta
     codes = hash_codes(model, data)
-    pts = data.points
-    lam = model.lam
 
     gaps = np.empty(queries.size)
     satisfied = []
     preserved = []
-    idx_all = np.arange(q)
-    for qi, q0 in enumerate(queries):
-        d_amb = np.linalg.norm(pts - pts[q0], axis=1)
-        order = np.lexsort((idx_all, d_amb))
-        order = order[order != q0]
-        sorted_d = d_amb[order]
-        gaps[qi] = float(sorted_d[k] - sorted_d[k - 1])
+    for qi, (q0, c, h) in enumerate(query_rows(data.points, codes, queries)):
+        nearest = ranked_neighbors(c, q0, k + 1)
+        gaps[qi] = float(c[nearest[k]] - c[nearest[k - 1]])
         if gaps[qi] >= 2.0 * delta:
-            ambient_knn = order[:k]
-            d_ham = lam * hamming_to_all(codes, int(q0)).astype(np.float64)
-            d_ham[q0] = np.inf  # query excluded from its own list
-            kth_value = np.partition(d_ham, k - 1)[k - 1]
-            satisfied.append(int(q0))
-            preserved.append(bool(np.all(d_ham[ambient_knn] <= kth_value)))
+            # lambda > 0 scales every Hamming distance alike, so the
+            # Hamming k-NN radius can be read off the integer distances
+            kth_value = h[ranked_neighbors(h, q0, k)[-1]]
+            satisfied.append(q0)
+            preserved.append(bool(np.all(h[nearest[:k]] <= kth_value)))
     return GapReport(
         k=k,
         per_query_gap=gaps,
@@ -178,26 +123,3 @@ def knn_sufficiency_check(model: HashModel, data: Dataset, queries=None,
         satisfied_queries=np.array(satisfied, dtype=np.int64),
         preserved=np.array(preserved, dtype=bool),
     )
-
-
-# ---------------------------------------------------------------------------
-# mixture sampling
-
-
-def sample_mixture(spec: GaussianMixtureSpec, q: int, seed: int = 0) -> Dataset:
-    """Q i.i.d. draws from the mixture: pick components by weight, then add
-    a covariance-factored normal. Degenerate (zero) covariances are fine."""
-    if q < 2:
-        raise ValueError(f"need Q >= 2, got {q}")
-    rng = np.random.default_rng(seed)
-    comp = rng.choice(spec.p, size=q, p=spec.weights)
-    z = rng.standard_normal((q, spec.n))
-    pts = np.empty((q, spec.n))
-    for p in range(spec.p):
-        idx = comp == p
-        if not np.any(idx):
-            continue
-        evals, evecs = np.linalg.eigh(spec.covs[p])
-        factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-        pts[idx] = spec.means[p] + z[idx] @ factor.T
-    return Dataset(pts)

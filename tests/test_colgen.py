@@ -84,10 +84,10 @@ class TestIdentifyActive:
         codes, sec = self.make_codes_and_secants()
         dh = hamming_pairs(codes, sec.i, sec.j)
         lam = 1.0
-        resid = np.abs(lam * dh - sec.c)
         # synthesize equal residuals by overriding targets
         sec_eq = SecantBatch(sec.i, sec.j, lam * dh + 0.5)
-        mask = identify_active(codes, lam, sec_eq, 0.5, active_tol=0.02)
+        resid = np.abs(lam * dh - sec_eq.c)
+        mask = identify_active(resid, 0.5, active_tol=0.02)
         assert mask.all()
 
     def test_single_dominant_residual(self):
@@ -96,21 +96,22 @@ class TestIdentifyActive:
         c = dh * 1.0 + 0.1  # uniform small residuals
         c[7] = dh[7] + 10.0  # one dominant offender
         sec2 = SecantBatch(sec.i, sec.j, c)
-        mask = identify_active(codes, 1.0, sec2, 10.0, active_tol=0.02)
+        resid = np.abs(1.0 * hamming_pairs(codes, sec2.i, sec2.j) - sec2.c)
+        mask = identify_active(resid, 10.0, active_tol=0.02)
         assert mask[7] and mask.sum() == 1
 
     def test_matches_inline_filter(self):
         codes, sec = self.make_codes_and_secants(seed=2)
         lam, delta_hat, tol = 0.37, 1.2, 0.05
-        mask = identify_active(codes, lam, sec, delta_hat, tol)
         resid = np.abs(lam * hamming_pairs(codes, sec.i, sec.j) - sec.c)
+        mask = identify_active(resid, delta_hat, tol)
         np.testing.assert_array_equal(mask, resid >= (1 - tol) * delta_hat)
 
     def test_cap_keeps_largest(self):
         codes, sec = self.make_codes_and_secants(seed=3)
-        mask = identify_active(codes, 1.0, sec, 0.0, 0.0, cap=5)
-        assert mask.sum() == 5
         resid = np.abs(1.0 * hamming_pairs(codes, sec.i, sec.j) - sec.c)
+        mask = identify_active(resid, 0.0, 0.0, cap=5)
+        assert mask.sum() == 5
         assert resid[mask].min() >= np.sort(resid)[-5] - 1e-12
 
 

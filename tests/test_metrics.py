@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from isohash.core import Dataset, HashModel, SecantBatch, hash_matrix, random_projection_matrix
+from isohash.dataio import gen_translating_squares
 from isohash.metrics import (
     fit_lambda_chebyshev,
     kendall_tau_at_k,
@@ -10,6 +11,7 @@ from isohash.metrics import (
     max_distortion,
     report_json,
 )
+from isohash.theory import knn_sufficiency_check
 
 
 def make_model(w, lam=1.0, alpha=10.0):
@@ -242,6 +244,42 @@ class TestKendallTau:
         data = Dataset(np.random.default_rng(0).standard_normal((10, 3)))
         with pytest.raises(ValueError):
             kendall_tau_at_k(make_model(np.ones((2, 3))), data, k=1)
+
+
+class TestExactAmbientTies:
+    """Raw translating squares: {0,1} pixels, so squared distances are
+    integers and equal distances tie exactly in any summation order."""
+
+    def setup_method(self):
+        self.data = gen_translating_squares(8, 3)
+        self.pts = self.data.points
+        self.w = random_projection_matrix(8, self.pts.shape[1], 5)
+        self.model = make_model(self.w)
+        self.bits = hash_matrix(self.w, self.pts).unpack()
+
+    def test_fixture_has_ties(self):
+        d0 = np.linalg.norm(self.pts - self.pts[0], axis=1)
+        assert len(self.pts) == 36 and np.unique(d0).size == 7
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_map_matches_brute_force(self, k):
+        rep = map_at_k(self.model, self.data, k=k)
+        expect = oracles.brute_map(self.pts, self.bits, range(36), k)
+        np.testing.assert_array_equal(rep.per_query_ap, expect)
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_tau_matches_brute_force(self, k):
+        rep = kendall_tau_at_k(self.model, self.data, k=k)
+        expect = oracles.brute_tau(self.pts, self.bits, range(36), k)
+        np.testing.assert_array_equal(rep.per_query_tau, expect)
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_knn_gaps_match_literal_sort(self, k):
+        rep = knn_sufficiency_check(self.model, self.data, k=k)
+        for q in range(36):
+            d = [float(np.linalg.norm(self.pts[t] - self.pts[q])) for t in range(36)]
+            order = [t for t in sorted(range(36), key=lambda t: (d[t], t)) if t != q]
+            assert rep.per_query_gap[q] == d[order[k]] - d[order[k - 1]]
 
 
 class TestReportJson:

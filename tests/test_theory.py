@@ -7,65 +7,10 @@ from isohash.baselines import lsh_model
 from isohash.core import Dataset, HashModel
 from isohash.dataio import preprocess
 from isohash.theory import (
-    GaussianMixtureSpec,
     knn_sufficiency_check,
     lemma1_empirical,
-    sample_mixture,
     sigmoid_quantizer_gap_bound,
 )
-
-
-class TestMixtureSpec:
-    def test_valid_spec(self):
-        spec = GaussianMixtureSpec([0.4, 0.6], np.zeros((2, 3)),
-                                   np.stack([np.eye(3), 2 * np.eye(3)]))
-        assert spec.p == 2 and spec.n == 3
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            GaussianMixtureSpec([0.5, 0.6], np.zeros((2, 2)),
-                                np.stack([np.eye(2), np.eye(2)]))
-
-    def test_non_psd_covariance_rejected(self):
-        bad = np.array([[1.0, 0.0], [0.0, -0.5]])
-        with pytest.raises(ValueError, match="semidefinite"):
-            GaussianMixtureSpec([1.0], np.zeros((1, 2)), bad[None])
-
-    def test_asymmetric_covariance_rejected(self):
-        bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            GaussianMixtureSpec([1.0], np.zeros((1, 2)), bad[None])
-
-
-class TestSampleMixture:
-    def test_standard_normal_clt(self):
-        spec = GaussianMixtureSpec([1.0], np.zeros((1, 8)), np.eye(8)[None])
-        ds = sample_mixture(spec, 4000, seed=1)
-        # per-coordinate mean within 3 sigma / sqrt(Q)
-        assert np.all(np.abs(ds.points.mean(axis=0)) < 3.0 / math.sqrt(4000))
-
-    def test_degenerate_covariance(self):
-        mu = np.array([2.0, -1.0, 0.5])
-        spec = GaussianMixtureSpec([1.0], mu[None], np.zeros((1, 3, 3)))
-        ds = sample_mixture(spec, 10, seed=2)
-        np.testing.assert_array_equal(ds.points, np.tile(mu, (10, 1)))
-
-    def test_component_frequencies(self):
-        spec = GaussianMixtureSpec(
-            [0.3, 0.7],
-            np.array([[-50.0, 0.0], [50.0, 0.0]]),
-            np.stack([np.eye(2), np.eye(2)]),
-        )
-        ds = sample_mixture(spec, 3000, seed=3)
-        frac = float((ds.points[:, 0] > 0).mean())
-        # binomial 3-sigma interval around 0.7
-        assert abs(frac - 0.7) < 3.0 * math.sqrt(0.7 * 0.3 / 3000)
-
-    def test_deterministic(self):
-        spec = GaussianMixtureSpec([1.0], np.zeros((1, 4)), np.eye(4)[None])
-        a = sample_mixture(spec, 20, seed=5)
-        b = sample_mixture(spec, 20, seed=5)
-        np.testing.assert_array_equal(a.points, b.points)
 
 
 class TestLemma1:
@@ -113,15 +58,13 @@ class TestKnnSufficiency:
         centers[0, 0] = 0.0
         centers[1, 0] = 200.0
         centers[2, 1] = 200.0
-        spec = GaussianMixtureSpec([1 / 3] * 3, centers,
-                                   np.stack([np.eye(20) * 0.01] * 3))
-        raw = sample_mixture(spec, 60, seed=12)
-        data = preprocess(raw.points)
+        points = centers[rng.integers(0, 3, 60)] + 0.1 * rng.standard_normal((60, 20))
+        data = preprocess(points)
         model = lsh_model(16, 20, seed=4, data=data)
         # k one less than the smallest cluster, so the gap is the
         # inter-cluster margin
         labels = np.argmin(
-            np.linalg.norm(raw.points[:, None, :] - centers[None], axis=2), axis=1
+            np.linalg.norm(points[:, None, :] - centers[None], axis=2), axis=1
         )
         k = int(np.bincount(labels).min()) - 1
         rep = knn_sufficiency_check(model, data, k=k)
