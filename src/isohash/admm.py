@@ -3,7 +3,10 @@
 Each outer iteration performs four updates while the sigmoid rate grows
 geometrically from alpha_start to alpha_end (continuation):
 
-* W: accelerated gradient descent on the smooth quadratic penalty,
+* W: accelerated gradient descent on the smooth quadratic penalty. With
+  S = sigma_alpha(X W^T) (Q x M) and the sparse |S| x Q pair-incidence
+  matrix B (+1 at i_k, -1 at j_k), v = rowsum((B S)^2) and the gradient is
+  -2 lambda ((B^T (r * B S)) * alpha S (1 - S))^T X; no per-pair copy of X,
 * u: the l-inf proximal map, computed by Moreau decomposition through an
   l1-ball projection,
 * lambda: a clamped positive least-squares scalar,
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .core import (
     Dataset,
@@ -114,29 +118,41 @@ def augmented_loss(u, v, c, y, lam: float, rho: float = 1.0) -> float:
     return uinf + 0.5 * rho * float(r @ r)
 
 
-def _w_loss_grad(w, points, i_idx, j_idx, c, u, y, lam, alpha, want_grad=True):
+def _pair_incidence(secants: SecantBatch, q: int) -> sparse.csr_matrix:
+    """The |S| x Q pair-incidence matrix: row k is +1 at i_k and -1 at j_k,
+    so (B s)_k = s[i_k] - s[j_k] exactly."""
+    k = len(secants)
+    return sparse.csr_matrix(
+        (np.tile([1.0, -1.0], k), np.column_stack([secants.i, secants.j]).ravel(),
+         np.arange(0, 2 * k + 1, 2)),
+        shape=(k, q),
+    )
+
+
+def _w_loss_grad(w, points, secants, b, u, y, lam, alpha, want_grad=True):
+    """W-subproblem loss 0.5 ||u - lam v + c + y||^2, with its gradient
+    unless ``want_grad`` is False; ``b`` is ``_pair_incidence(secants, Q)``."""
     s = sigmoid(points @ w.T, alpha)
-    d = s[i_idx] - s[j_idx]
+    d = b @ s
     v = np.einsum("ij,ij->i", d, d)
-    r = u - lam * v + c + y
+    r = u - lam * v + secants.c + y
     f = 0.5 * float(r @ r)
     if not np.isfinite(f):
         bad = int(np.argmax(~np.isfinite(r)))
         raise DivergenceError(
-            f"non-finite residual at secant ({int(i_idx[bad])}, {int(j_idx[bad])})"
+            f"non-finite residual at secant "
+            f"({int(secants.i[bad])}, {int(secants.j[bad])})"
         )
     if not want_grad:
         return f, None
-    sp = alpha * s * (1.0 - s)
-    rd = r[:, None] * d
-    grad = -2.0 * lam * (
-        (rd * sp[i_idx]).T @ points[i_idx] - (rd * sp[j_idx]).T @ points[j_idx]
-    )
+    # per-point sum of the signed per-pair terms, then one M x Q x N product
+    p = b.T @ (r[:, None] * d)
+    grad = -2.0 * lam * ((p * (alpha * s * (1.0 - s))).T @ points)
     if not np.all(np.isfinite(grad)):
         bad = int(np.argmax(np.abs(r)))
         raise DivergenceError(
             f"non-finite gradient; worst residual at secant "
-            f"({int(i_idx[bad])}, {int(j_idx[bad])})"
+            f"({int(secants.i[bad])}, {int(secants.j[bad])})"
         )
     return f, grad
 
@@ -183,7 +199,7 @@ def w_step(state: SolverState, secants: SecantBatch, data: Dataset,
     """Approximately minimize the quadratic penalty over W with u, y, lambda,
     alpha held fixed; never returns a worse W than it was given."""
     pts = data.points
-    args = (pts, secants.i, secants.j, secants.c, state.u, state.y,
+    args = (pts, secants, _pair_incidence(secants, data.q), state.u, state.y,
             state.lam, state.alpha)
 
     def f_grad(w):
@@ -279,7 +295,8 @@ def train_nibh(
     fixed_lambda: Optional[float] = None,
     progress: Optional[Callable] = None,
 ) -> tuple[HashModel, SolverState]:
-    """Run the four-step ADMM loop until the augmented loss stabilizes.
+    """Run the four-step ADMM loop until the augmented loss stabilizes at
+    the final sigmoid rate.
 
     w0 defaults to the seeded Gaussian projection (identical to the LSH draw
     for the same seed). With ``fixed_lambda`` the scale update is skipped,
@@ -287,11 +304,13 @@ def train_nibh(
     solve. ``progress`` receives one record per iteration (a callable taking
     a dict, or a file-like that gets JSON lines).
 
-    Returns the trained model (built with alpha_end and the final lambda)
-    and the solver state. loss_history rows are (iteration, sup_loss, delta):
-    sup_loss is ||lambda v - c||_inf at the solver's lambda, delta the
-    scale-fitted distortion of the quantized codes over the training secants
-    (identical to what metrics.max_distortion reports for them).
+    Returns the trained model (built with the final lambda and the alpha of
+    the last iteration) and the solver state. ``converged`` is set only by
+    the stop test, which runs once alpha has reached alpha_end. loss_history
+    rows are (iteration, sup_loss, delta): sup_loss is ||lambda v - c||_inf
+    at the solver's lambda, delta the scale-fitted distortion of the
+    quantized codes over the training secants (identical to what
+    metrics.max_distortion reports for them).
     """
     if config is None:
         config = SolverConfig()
@@ -337,6 +356,8 @@ def train_nibh(
     best = (math.inf, state.w, state.lam)
 
     for it in range(1, config.max_outer_iters + 1):
+        if it > 1:
+            state.alpha = min(state.alpha * config.alpha_growth, config.alpha_end)
         state.iteration = it
         state.w = w_step(state, secants, data, config)
         v = relaxed_pair_dists(state.w, pts, i_idx, j_idx, state.alpha)
@@ -366,16 +387,18 @@ def train_nibh(
             state.loss_history.append((it + 1, best[0], delta))
             break
 
-        aug = augmented_loss(state.u, v, c, state.y, state.lam, config.rho)
-        if aug_prev is not None and \
-                abs(aug - aug_prev) <= config.convergence_tol * max(1.0, abs(aug_prev)):
-            state.converged = True
-            break
-        aug_prev = aug
-        state.alpha = min(state.alpha * config.alpha_growth, config.alpha_end)
+        # the stop test compares two iterations at the final rate only, so
+        # "converged" never describes a solve that continuation left unfinished
+        if state.alpha == config.alpha_end:
+            aug = augmented_loss(state.u, v, c, state.y, state.lam, config.rho)
+            if aug_prev is not None and abs(aug - aug_prev) <= \
+                    config.convergence_tol * max(1.0, abs(aug_prev)):
+                state.converged = True
+                break
+            aug_prev = aug
 
     model = HashModel(
-        w=state.w, lam=state.lam, alpha=config.alpha_end,
+        w=state.w, lam=state.lam, alpha=state.alpha,
         mean=data.mean, normalized=data.normalized,
     )
     return model, state

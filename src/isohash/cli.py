@@ -7,11 +7,11 @@ deterministic given its flags and input files; wall-clock timings appear
 only in the manifest.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
-5 check failure. A malformed flag value (``--bits`` below 1, a ``--secants``
-other than all, bre or sample:K with K >= 1), a flag the chosen command or
-metric does not use, and a ``--k`` or ``--queries`` index that the dataset
-cannot serve are usage errors; a queries file that does not parse as
-integers is a data error.
+5 check failure. A malformed flag value (``--bits`` or ``--threads`` below 1,
+a ``--secants`` other than all, bre or sample:K with K >= 1), a flag the
+chosen command or metric does not use, and a ``--k`` or ``--queries`` index
+that the dataset cannot serve are usage errors; a queries file that does not
+parse as integers is a data error.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ def _open_progress(spec: str | None):
     return fh, fh.close
 
 
-def _threads(args) -> int:
-    return max(1, args.threads)
-
-
 def _load_for_training(path: str) -> Dataset:
     ds = dataio.load_any(path)
     if ds.normalized:
@@ -177,7 +173,7 @@ def cmd_train(args, parser) -> int:
         if args.algo == "lsh":
             with man.phase("train"):
                 model = baselines.lsh_model(args.bits, data.n, args.seed, data=data)
-            rep = metrics.max_distortion(model, data, n_threads=_threads(args))
+            rep = metrics.max_distortion(model, data, n_threads=args.threads)
             report.update({"delta": rep.delta, "lambda": model.lam, "iterations": 0})
         elif args.algo == "nibh":
             with man.phase("secants"):
@@ -207,9 +203,9 @@ def cmd_train(args, parser) -> int:
             with man.phase("train"):
                 model, cg_rep = colgen.train_nibh_cg(
                     data, args.bits, cg_cfg, progress=progress,
-                    n_threads=_threads(args),
+                    n_threads=args.threads,
                 )
-            rep = metrics.max_distortion(model, data, n_threads=_threads(args))
+            rep = metrics.max_distortion(model, data, n_threads=args.threads)
             report.update({
                 "delta": rep.delta,
                 "lambda": model.lam,
@@ -281,7 +277,7 @@ def cmd_eval(args, parser) -> int:
 
     with man.phase("eval"):
         if args.metric == "delta":
-            rep = metrics.max_distortion(model, data, n_threads=_threads(args))
+            rep = metrics.max_distortion(model, data, n_threads=args.threads)
         elif args.metric == "map":
             rep = metrics.map_at_k(model, data, queries=queries, k=k)
         else:
@@ -462,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     handlers = {
         "train": cmd_train,
         "eval": cmd_eval,

@@ -71,6 +71,32 @@ def central_diff_gradient(f, w, h=1e-6):
     return g
 
 
+def w_loss_grad_loop(w, points, i_idx, j_idx, c, u, y, lam, alpha):
+    """W-subproblem loss 0.5 sum_k r_k^2, r_k = u_k - lam v_k + c_k + y_k,
+    and its gradient in W, one secant and one bit at a time with scalar
+    sigmoids: v_k = sum_m (s_im - s_jm)^2, s_qm = 1 / (1 + exp(-alpha w_m.x_q)).
+    """
+    import math
+
+    w = np.asarray(w, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    loss = 0.0
+    grad = np.zeros_like(w)
+    for k in range(len(i_idx)):
+        xi, xj = points[i_idx[k]], points[j_idx[k]]
+        si = [1.0 / (1.0 + math.exp(-alpha * float(wm @ xi))) for wm in w]
+        sj = [1.0 / (1.0 + math.exp(-alpha * float(wm @ xj))) for wm in w]
+        v = sum((a - b) ** 2 for a, b in zip(si, sj))
+        r = u[k] - lam * v + c[k] + y[k]
+        loss += 0.5 * r * r
+        for m in range(w.shape[0]):
+            # d r / d w_m = -lam * 2 (s_im - s_jm) (s_im' x_i - s_jm' x_j)
+            dsi = alpha * si[m] * (1.0 - si[m]) * xi
+            dsj = alpha * sj[m] * (1.0 - sj[m]) * xj
+            grad[m] += r * (-lam) * 2.0 * (si[m] - sj[m]) * (dsi - dsj)
+    return loss, grad
+
+
 def hamming_dense(bits):
     """Dense Q x Q Hamming matrix from an unpacked 0/1 code matrix."""
     b = np.asarray(bits, dtype=np.int64)

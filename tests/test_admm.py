@@ -1,11 +1,13 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
 import oracles
 from isohash.admm import (
+    DivergenceError,
     SolverConfig,
     SolverState,
     augmented_loss,
@@ -26,6 +28,13 @@ def all_secants(points):
     i_idx = [p[0] for p in pairs]
     j_idx = [p[1] for p in pairs]
     return SecantBatch.from_pairs(points, i_idx, j_idx)
+
+
+def w_loss_grad(w, points, sec, u, y, lam, alpha, want_grad=True):
+    from isohash.admm import _pair_incidence, _w_loss_grad
+
+    return _w_loss_grad(w, points, sec, _pair_incidence(sec, len(points)),
+                        u, y, lam, alpha, want_grad=want_grad)
 
 
 def make_state(w, u, y, lam, alpha):
@@ -130,8 +139,6 @@ class TestWStep:
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_matches_finite_differences(self, alpha, seed):
-        from isohash.admm import _w_loss_grad
-
         rng = np.random.default_rng(300 + seed)
         q, n, m = 12, 5, 3
         pts = rng.standard_normal((q, n))
@@ -142,14 +149,53 @@ class TestWStep:
         lam = 1.3
 
         def f(wmat):
-            val, _ = _w_loss_grad(wmat, pts, sec.i, sec.j, sec.c, u, y, lam,
-                                  alpha, want_grad=False)
+            val, _ = w_loss_grad(wmat, pts, sec, u, y, lam, alpha,
+                                 want_grad=False)
             return val
 
-        _, grad = _w_loss_grad(w, pts, sec.i, sec.j, sec.c, u, y, lam, alpha)
+        _, grad = w_loss_grad(w, pts, sec, u, y, lam, alpha)
         fd = oracles.central_diff_gradient(f, w, h=1e-6)
         rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert rel < 1e-5
+
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    def test_secant_subset_gradient(self, alpha):
+        # point 7 sits in ten secants, as i and as j; points 3 and 12-14 in none
+        rng = np.random.default_rng(330)
+        q, n, m = 15, 4, 3
+        pts = rng.standard_normal((q, n))
+        pairs = [(7, j) for j in (0, 1, 2, 4, 5, 6)] \
+            + [(i, 7) for i in (8, 9, 10, 11)] \
+            + [(5, 0), (10, 2), (11, 4), (9, 8)]
+        sec = SecantBatch.from_pairs(pts, [p[0] for p in pairs],
+                                     [p[1] for p in pairs])
+        w = rng.standard_normal((m, n)) * 0.5
+        u = rng.standard_normal(len(sec))
+        y = rng.standard_normal(len(sec))
+        lam = 0.8
+
+        f, grad = w_loss_grad(w, pts, sec, u, y, lam, alpha)
+        f_ref, grad_ref = oracles.w_loss_grad_loop(w, pts, sec.i, sec.j, sec.c,
+                                                   u, y, lam, alpha)
+        assert f == pytest.approx(f_ref, rel=1e-12)
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-10,
+                                   atol=1e-12 * np.abs(grad_ref).max())
+        fd = oracles.central_diff_gradient(
+            lambda wmat: w_loss_grad(wmat, pts, sec, u, y, lam, alpha,
+                                     want_grad=False)[0], w, h=1e-6)
+        assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
+
+    def test_non_finite_u_names_secant(self):
+        rng = np.random.default_rng(34)
+        pts = rng.standard_normal((6, 3))
+        sec = all_secants(pts)
+        u = np.zeros(len(sec))
+        u[4] = np.nan
+        state = make_state(rng.standard_normal((2, 3)), u, np.zeros(len(sec)),
+                           1.0, 2.0)
+        want = f"non-finite residual at secant ({sec.i[4]}, {sec.j[4]})"
+        with pytest.raises(DivergenceError, match=re.escape(want)):
+            w_step(state, sec, Dataset(pts), SolverConfig())
 
     def test_lambda_zero_leaves_w_unchanged(self):
         rng = np.random.default_rng(31)
@@ -161,11 +207,9 @@ class TestWStep:
         np.testing.assert_array_equal(out, w)
 
     def test_never_increases_objective(self):
-        from isohash.admm import _w_loss_grad
-
         def loss(state):
-            return _w_loss_grad(state.w, pts, sec.i, sec.j, sec.c, state.u,
-                                state.y, state.lam, state.alpha, want_grad=False)[0]
+            return w_loss_grad(state.w, pts, sec, state.u, state.y, state.lam,
+                               state.alpha, want_grad=False)[0]
 
         rng = np.random.default_rng(32)
         pts = rng.standard_normal((10, 4))
@@ -331,6 +375,25 @@ class TestTrainNibh:
         for line in lines:
             rec = json.loads(line)
             assert set(rec) == {"iteration", "loss", "delta", "alpha", "lambda"}
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3])
+    def test_converged_implies_alpha_end(self, tol):
+        # a loose tolerance is met while continuation is still raising alpha;
+        # the stop test has to wait for alpha_end
+        cfg = SolverConfig(max_outer_iters=40, convergence_tol=tol, seed=0)
+        model, state = train_nibh(self.data, self.secants, 4, cfg)
+        assert state.converged
+        assert state.alpha == cfg.alpha_end
+        assert model.alpha == state.alpha
+
+    def test_model_records_alpha_reached(self):
+        cfg = SolverConfig(max_outer_iters=3, seed=0)
+        records = []
+        model, state = train_nibh(self.data, self.secants, 4, cfg,
+                                  progress=records.append)
+        assert not state.converged
+        assert model.alpha == state.alpha == 1.25 ** 2
+        assert [rec["alpha"] for rec in records] == [1.0, 1.25, 1.25 ** 2]
 
     def test_fixed_lambda_is_respected(self):
         cfg = SolverConfig(max_outer_iters=8, seed=4)

@@ -145,6 +145,17 @@ class TestEval:
         # default nibh training uses all pairs: identical measurement path
         assert abs(doc["delta"] - train_doc["delta"]) <= 1e-12
 
+    def test_threads_below_one_usage_error(self, dataset_file, trained):
+        d, model_path, _ = trained
+        for threads in ("0", "-3"):
+            res = run_cli(
+                "--threads", threads, "eval", "--model", str(model_path),
+                "--data", str(dataset_file), "--metric", "delta", cwd=d,
+            )
+            assert res.returncode == 2, (threads, res.stderr)
+            assert "--threads" in res.stderr and "Traceback" not in res.stderr
+            assert res.stdout == ""
+
     def test_delta_rejects_neighbor_flags(self, dataset_file, trained):
         d, model_path, _ = trained
         qf = d / "delta_queries.txt"

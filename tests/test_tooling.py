@@ -1,19 +1,27 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from isohash import admm, colgen, metrics
+from isohash.core import Dataset, SecantBatch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_tracer_resolves_against_package():
-    # the per-layer tracer wraps module attributes by name, so a rename in
-    # the package fails here rather than in `perfbench/run.py --trace 1`
+def _tracing():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracing
     finally:
         sys.path.remove(str(PERFBENCH))
+    return tracing
+
+
+def test_benchmark_tracer_resolves_against_package():
+    # the per-layer tracer wraps module attributes by name, so a rename in
+    # the package fails here rather than in `perfbench/run.py --trace 1`
+    tracing = _tracing()
     originals = (admm.w_step, colgen.scan_violators, metrics.max_distortion)
     restore = tracing.instrument(tracing.Recorder())
     try:
@@ -21,3 +29,32 @@ def test_benchmark_tracer_resolves_against_package():
     finally:
         restore()
     assert (admm.w_step, colgen.scan_violators, metrics.max_distortion) == originals
+
+
+def test_loss_eval_counter_counts_every_evaluation(monkeypatch):
+    # admm.w_step.loss_evals counts sigmoid calls inside the W-step; it is a
+    # true evaluation count only while each loss or loss+gradient evaluation
+    # makes exactly one of them
+    tracing = _tracing()
+    evals = []
+    inner = admm._w_loss_grad
+
+    def counted(*args, **kwargs):
+        evals.append(kwargs.get("want_grad", True))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "_w_loss_grad", counted)
+    rng = np.random.default_rng(40)
+    pts = rng.standard_normal((8, 3))
+    sec = SecantBatch.all_pairs(pts)
+    state = admm.SolverState(w=rng.standard_normal((2, 3)),
+                             u=rng.standard_normal(len(sec)),
+                             y=np.zeros(len(sec)), lam=0.7, alpha=2.0)
+    rec = tracing.Recorder()
+    restore = tracing.instrument(rec)
+    try:
+        admm.w_step(state, sec, Dataset(pts), admm.SolverConfig(inner_gd_iters=6))
+    finally:
+        restore()
+    assert True in evals and False in evals
+    assert rec.counters["admm.w_step.loss_evals"] == len(evals)
