@@ -2,10 +2,11 @@
 alternate streaming scans for violated pairs with warm-started re-solves
 until a full scan comes back clean.
 
-Memory never scales with the pair count: a scan walks the pair stream one
-row at a time and keeps only the violators that come first in a seeded
-pseudo-random order of the stream, O(batch_limit + Q) in all, and only the
-active set plus at most one violator batch per generation is ever resident.
+Memory never scales with the pair count: a scan walks the pair stream in
+tiles of the engine in :mod:`core` and keeps only the violators that come
+first in a seeded pseudo-random order of the stream, O(tile + batch_limit +
+Q) in all, and only the active set plus at most one violator batch per
+generation is ever resident.
 Violation and activity are judged on quantized codes, since the termination
 guarantee concerns the real near-isometry condition.
 """
@@ -23,18 +24,18 @@ from .core import (
     BinaryCodes,
     Dataset,
     HashModel,
+    PairTiles,
     SecantBatch,
     decode_pair_indices,
     hamming_pairs,
     hash_codes,
-    map_row_blocks,
+    map_tiles,
+    pair_linear_index,
     sample_pair_indices,
     secant_count,
-    walk_rows,
 )
 
 __all__ = [
-    "ActiveSet",
     "CgConfig",
     "CgReport",
     "sample_initial_secants",
@@ -42,21 +43,6 @@ __all__ = [
     "scan_violators",
     "train_nibh_cg",
 ]
-
-@dataclass
-class ActiveSet:
-    """Secants currently kept resident; each pair at most once."""
-
-    secants: SecantBatch
-
-    def __post_init__(self):
-        keys = self.secants.keys()
-        if np.unique(keys).size != keys.size:
-            raise ValueError("duplicate pair in active set")
-
-    def __len__(self):
-        return len(self.secants)
-
 
 @dataclass
 class CgConfig:
@@ -94,13 +80,13 @@ class CgReport:
 # pieces
 
 
-def sample_initial_secants(q: int, data: Dataset, config: CgConfig) -> ActiveSet:
+def sample_initial_secants(q: int, data: Dataset, config: CgConfig) -> SecantBatch:
     """Uniform sample (without replacement) from the pair stream with true
     distances filled in; the whole stream when the request covers it."""
     total = secant_count(q)
     rng = np.random.default_rng(config.scan_seed)
     t = sample_pair_indices(total, config.init_sample_size, rng)
-    return ActiveSet(SecantBatch.from_pairs(data.points, *decode_pair_indices(t)))
+    return SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
 
 
 def identify_active(resid: np.ndarray, delta_hat: float, active_tol: float,
@@ -122,7 +108,7 @@ def _scan_positions(total: int, seed: int):
     total with step coprime to total. Pseudo-random order, O(1) state, each
     pair visited exactly once."""
     rng = np.random.default_rng(seed)
-    step = int(rng.integers(1, total))
+    step = int(rng.integers(1, max(total, 2)))  # a one-pair stream has step 1
     while math.gcd(step, total) != 1:
         step += 1
         if step >= total:
@@ -138,10 +124,11 @@ def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
     of them that come first in a seeded pseudo-random walk of the pair
     stream, in walk order.
 
-    Every row is scanned. A violator at stream position t is ranked by its
-    place p = (t - off) * step^-1 mod total in the walk of
-    :func:`_scan_positions`, and each block of rows keeps only the
-    batch_limit smallest p, so memory is O(batch_limit + Q) and any
+    Every tile is scanned; screened residuals within the engine's margin
+    of delta_hat are recomputed literally. A violator at stream position t
+    is ranked by its place p = (t - off) * step^-1 mod total in the walk of
+    :func:`_scan_positions`, and each worker keeps only the batch_limit
+    smallest p, so memory is O(tile + batch_limit + Q) and any
     ``n_threads`` returns the identical result.
 
     Returns (violators, scanned_all); scanned_all is True exactly when no
@@ -157,33 +144,32 @@ def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
         keep = np.argsort(p)[:batch_limit]
         return p[keep], t[keep]
 
-    def scan(lo: int, hi: int):
-        p = t = np.empty(0, dtype=np.int64)
-        for i, c, h in walk_rows(data.points, codes, lo, hi):
-            hit = i * (i - 1) // 2 + np.nonzero(np.abs(lam * h - c) > delta_hat)[0]
-            if hit.size:
-                p = np.concatenate([p, (hit - off) * inv % total])
-                t = np.concatenate([t, hit])
-                if p.size > 2 * batch_limit:
-                    p, t = first(p, t)
-        return first(p, t)
+    tiles = PairTiles(data.points, codes)
+    screen = delta_hat - tiles.margin(lam)
 
-    parts = map_row_blocks(scan, data.q, n_threads)
+    def scan(tile_list):
+        p = t = np.empty(0, dtype=np.int64)
+        for lo, hi in tile_list:
+            rows, j = np.nonzero(tiles.residuals(lo, hi, lam) > screen)
+            i = lo + rows
+            hit = pair_linear_index(i, j)[tiles.exact_residuals(i, j, lam) > delta_hat]
+            p, t = first(np.concatenate([p, (hit - off) * inv % total]),
+                         np.concatenate([t, hit]))
+        return p, t
+
+    parts = map_tiles(scan, data.q, n_threads)
     p, t = first(np.concatenate([p for p, _ in parts]),
                  np.concatenate([t for _, t in parts]))
     violators = SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
     return violators, p.size == 0
 
 
-def _union(active: SecantBatch, violators: SecantBatch) -> ActiveSet:
+def _union(active: SecantBatch, violators: SecantBatch) -> SecantBatch:
     """Merge, dropping violators already present; a pair enters at most once."""
-    keys_a = active.keys()
-    keys_v = violators.keys()
-    fresh = ~np.isin(keys_v, keys_a)
-    i = np.concatenate([active.i, violators.i[fresh]])
-    j = np.concatenate([active.j, violators.j[fresh]])
-    c = np.concatenate([active.c, violators.c[fresh]])
-    return ActiveSet(SecantBatch(i, j, c))
+    fresh = violators.subset(~np.isin(violators.keys(), active.keys()))
+    return SecantBatch(np.concatenate([active.i, fresh.i]),
+                       np.concatenate([active.j, fresh.j]),
+                       np.concatenate([active.c, fresh.c]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +196,7 @@ def train_nibh_cg(
     if config is None:
         config = CgConfig()
 
-    secants = sample_initial_secants(data.q, data, config).secants
+    secants = sample_initial_secants(data.q, data, config)
     init_size = peak = len(secants)
     lam_hat = None  # fitted by the first solve, frozen for the rest of the run
     history = []
@@ -246,7 +232,7 @@ def train_nibh_cg(
             break
         violators_total += len(violators)
 
-        secants = _union(active, violators).secants
+        secants = _union(active, violators)
         # memory contract: what is resident never beats the sampled start
         # plus one batch per generation
         assert len(secants) <= init_size + (gen + 1) * config.violator_batch, \

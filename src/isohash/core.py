@@ -2,23 +2,31 @@
 pair distances, and the secant stream.
 
 The stream lists every pair (i, j), i > j, in lexicographic order; pair
-(i, j) sits at position i(i-1)/2 + j. Every full pass over it goes through
-one row walk, :func:`walk_rows`: row i holds the pairs (i, 0) ... (i, i-1),
-so a pass holds one row of distances at a time, O(Q) memory, and visits
-pairs in stream order. :func:`map_row_blocks` splits the rows among threads.
+(i, j) sits at position i(i-1)/2 + j. All-pairs and query-row passes run on
+one tile engine, :class:`PairTiles`. A tile, rows [lo, hi) x columns [0, hi)
+of the stream (:func:`row_tiles`) or a block of queries x all points, holds
+at most TILE_PAIRS = 2^18 values, so a pass needs O(tile + Q) memory, and
+costs two GEMMs: Gram distances sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0))
+and Hamming distances (M - B_i B_j^T) / 2 on +-1 codes, exact in float64.
 
-Neighbor measurements read whole query rows instead: :func:`query_rows`
-yields the ambient and Hamming distances from each query to every point,
-and :func:`ranked_neighbors` is the one ranking rule applied to them
-(nearest first, ties by ascending index, the query itself excluded).
+Gram values only screen: cancellation leaves them within
+``PairTiles.margin()`` = 4 r sqrt((N + 4) eps) of the literal distance (r
+the largest point norm; the dot-product forward-error bound through the
+sqrt, with room to spare). Each consumer recomputes literally the entries
+within twice the margin of what it decides on (a maximum, a threshold, a
+histogram edge, a k-th neighbor), so results are bit-identical to a literal
+pass. :func:`map_tiles` deals tiles to ``n_threads`` threads; the GEMMs and
+large ufuncs release the GIL, so threads pay off once a pass spans many
+tiles (1.5-1.9x with 2 threads at Q = 10^4, nothing at Q = 2000; 2 cores,
+one BLAS thread).
 
-Everything here is stateless and safe to call from multiple threads. Solver
-arithmetic is float64 throughout; binary codes are bit-packed and compared
-with XOR + popcount.
+Everything here is stateless and thread-safe. Solver arithmetic is float64
+throughout; binary codes are bit-packed and compared with XOR + popcount.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -41,9 +49,10 @@ __all__ = [
     "pair_linear_index",
     "decode_pair_indices",
     "pair_distances",
-    "walk_rows",
-    "map_row_blocks",
-    "query_rows",
+    "PairTiles",
+    "row_tiles",
+    "map_tiles",
+    "query_neighbors",
     "ranked_neighbors",
     "sample_pair_indices",
     "random_projection_matrix",
@@ -151,16 +160,13 @@ class SecantBatch:
     @classmethod
     def from_pairs(cls, points: np.ndarray, i, j) -> "SecantBatch":
         """Build a batch with true ambient distances as targets."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
         return cls(i, j, pair_distances(points, i, j))
 
     @classmethod
     def all_pairs(cls, points: np.ndarray) -> "SecantBatch":
-        """Every pair, in stream order, with true ambient distances as
-        targets (the same values :meth:`from_pairs` gives)."""
+        """Every pair, in stream order, with true ambient distances."""
         i, j = decode_pair_indices(np.arange(secant_count(len(points))))
-        return cls(i, j, np.concatenate([c for _, c, _ in walk_rows(points)]))
+        return cls.from_pairs(points, i, j)
 
 
 @dataclass
@@ -224,13 +230,6 @@ class BinaryCodes:
 
     def unpack(self) -> np.ndarray:
         return np.unpackbits(self.packed, axis=1, count=self.n_bits)
-
-    @property
-    def q(self) -> int:
-        return self.packed.shape[0]
-
-    def __len__(self) -> int:
-        return self.packed.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,68 +324,107 @@ def decode_pair_indices(t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_distances(points: np.ndarray, i_idx, j_idx) -> np.ndarray:
-    """Ambient l2 distances for the given pairs (gathered, not Q x Q)."""
+    """Ambient l2 distances for the given pairs by the literal expression
+    sqrt(sum((x_i - x_j)^2)), gathering one tile of coordinates at a time."""
     points = np.asarray(points, dtype=np.float64)
-    d = points[i_idx] - points[j_idx]
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
+    i_idx, j_idx = np.asarray(i_idx), np.asarray(j_idx)
+    out = np.empty(i_idx.size)
+    step = max(1, TILE_PAIRS // points.shape[1])
+    for s in range(0, i_idx.size, step):
+        d = points[i_idx[s:s + step]] - points[j_idx[s:s + step]]
+        out[s:s + step] = np.sqrt(np.einsum("ij,ij->i", d, d))
+    return out
 
 
-def walk_rows(points: np.ndarray, codes: Optional[BinaryCodes] = None,
-              lo: int = 1, hi: Optional[int] = None,
-              pairs: Optional[tuple] = None
-              ) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
-    """Walk rows i in [lo, hi) (default: every row) of the pair stream,
-    yielding (i, c, h): the ambient distances c and Hamming distances h
-    (None without ``codes``) from point i to points 0 ... i-1. These are
-    stream positions i(i-1)/2 ... i(i+1)/2 - 1, in order, so
-    ``i*(i-1)//2 + argmax`` is the smallest position attaining a row's max.
+# ---------------------------------------------------------------------------
+# the tile engine
 
-    ``pairs`` = (i_idx, j_idx), sorted by stream position, restricts each
-    row to the columns listed for it; rows with none are skipped.
-
-    The values are those of :func:`pair_distances` and :func:`hamming_pairs`
-    on gathered index arrays, bit for bit, without the gather.
-    """
-    hi = len(points) if hi is None else hi
-    if pairs is not None:
-        i_idx, j_idx = pairs
-        bounds = np.searchsorted(i_idx, np.arange(lo, hi + 1))
-    for i in range(lo, hi):
-        if pairs is None:
-            cols = slice(0, i)
-        else:
-            a, b = bounds[i - lo], bounds[i - lo + 1]
-            if a == b:
-                continue
-            cols = j_idx[a:b]
-        h = None if codes is None else hamming_pairs(codes, i, cols)
-        yield i, pair_distances(points, i, cols), h
+TILE_PAIRS = 1 << 18
 
 
-def map_row_blocks(fn, q: int, n_threads: int = 1) -> list:
-    """[fn(lo, hi) for each block], the rows [1, q) cut into ``n_threads``
-    contiguous blocks of near-equal pair count, in row order. Blocks run on
-    a thread pool, or serially as one block when ``n_threads`` is 1."""
-    if n_threads <= 1:
-        return [fn(1, q)]
-    cuts = np.linspace(0, secant_count(q), n_threads + 1)[1:-1].astype(np.int64)
-    rows = [1, *decode_pair_indices(cuts)[0].tolist(), q]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, rows[:-1], rows[1:]))
+class PairTiles:
+    """Gram and Hamming tiles of one point set and its codes."""
+
+    def __init__(self, points: np.ndarray, codes: BinaryCodes):
+        self.points, self.codes, self.m = points, codes, codes.n_bits
+        self.sq = np.einsum("ij,ij->i", points, points)
+        self.signs = 2.0 * codes.unpack() - 1.0
+        self.rmax = math.sqrt(float(self.sq.max(initial=0.0)))
+
+    def margin(self, lam: float = 0.0) -> float:
+        """Bound on |screened - literal| for a distance, or a residual at lam."""
+        eps = np.finfo(np.float64).eps
+        return (4.0 * self.rmax * math.sqrt((self.points.shape[1] + 4) * eps)
+                + 8.0 * eps * (lam * self.m + 2.0 * self.rmax))
+
+    def ambient(self, rows, cols) -> np.ndarray:
+        g = self.points[rows] @ self.points[cols].T
+        g *= -2.0
+        g += self.sq[rows, None]
+        g += self.sq[cols]
+        return np.sqrt(np.maximum(g, 0.0, out=g), out=g)
+
+    def hamming(self, rows, cols) -> np.ndarray:
+        h = self.signs[rows] @ self.signs[cols].T
+        h *= -0.5
+        h += 0.5 * self.m
+        return h
+
+    def residuals(self, lo: int, hi: int, lam: float) -> np.ndarray:
+        """Screened |lam d_H - c| of rows [lo, hi) x columns [0, hi), -inf at j >= i."""
+        r = self.ambient(slice(lo, hi), slice(0, hi))
+        h = self.hamming(slice(lo, hi), slice(0, hi))
+        h *= lam
+        r -= h
+        return self.off_stream(np.abs(r, out=r), lo, -np.inf)
+
+    @staticmethod
+    def off_stream(tile: np.ndarray, lo: int, value: float) -> np.ndarray:
+        """Set the entries j >= i of a rows [lo, hi) x columns [0, hi) tile."""
+        n = tile.shape[0]
+        tile[:, lo:][np.arange(n)[:, None] <= np.arange(n)] = value
+        return tile
+
+    def exact_residuals(self, i_idx, j_idx, lam: float) -> np.ndarray:
+        """Literal |lam d_H - c| of the pairs (i_idx, j_idx)."""
+        return np.abs(lam * hamming_pairs(self.codes, i_idx, j_idx)
+                      - pair_distances(self.points, i_idx, j_idx))
 
 
-def query_rows(points: np.ndarray, codes: BinaryCodes, queries
-               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """For each query q, yield (q, c, h): the ambient distances c and the
-    Hamming distances h from point q to every point, itself included.
+def row_tiles(q: int) -> list[tuple[int, int]]:
+    """Rows [1, q) cut in order into tiles [lo, hi) of equally many rows,
+    so that rows x columns [0, hi) hold at most TILE_PAIRS values."""
+    step = max(1, TILE_PAIRS // q)
+    return [(lo, min(q, lo + step)) for lo in range(1, q, step)]
 
-    c is the plain row norm, not the einsum of :func:`pair_distances`:
-    on tie-heavy data the two differ in the last bit and would rank tied
-    neighbors differently."""
-    for q in queries:
-        q = int(q)
-        yield (q, np.linalg.norm(points - points[q], axis=1),
-               hamming_pairs(codes, q, slice(None)))
+
+def map_tiles(fn, q: int, n_threads: int = 1) -> list:
+    """[fn(row_tiles(q)[w::n_threads]) for each worker w]; the caller is
+    worker 0, so it reuses memory it has just freed."""
+    parts = [row_tiles(q)[w::n_threads] for w in range(n_threads)]
+    with ThreadPoolExecutor(max_workers=max(1, n_threads - 1)) as pool:
+        rest = [pool.submit(fn, part) for part in parts[1:]]
+        return [fn(parts[0])] + [f.result() for f in rest]
+
+
+def query_neighbors(points: np.ndarray, codes: BinaryCodes, queries, k: int
+                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """For each query q, yield (q, nearest, dist, h): its k nearest points
+    by :func:`ranked_neighbors`, their distances, and its Hamming row. The
+    candidates near the k-th Gram distance get literal row norms (the einsum
+    of :func:`pair_distances` differs in the last bit on tied data)."""
+    tiles = PairTiles(points, codes)
+    slack, step = 2.0 * tiles.margin(), max(1, TILE_PAIRS // len(points))
+    queries = np.asarray(queries, dtype=np.int64)
+    for s in range(0, queries.size, step):
+        block = queries[s:s + step]
+        for q, c, h in zip(block.tolist(), tiles.ambient(block, slice(None)),
+                           tiles.hamming(block, slice(None))):
+            c[q] = np.inf  # not a neighbor of itself
+            near = np.flatnonzero(c <= np.partition(c, k - 1)[k - 1] + slack)
+            dist = np.linalg.norm(points[near] - points[q], axis=1)
+            order = ranked_neighbors(dist, -1, k)
+            yield q, near[order], dist[order], h
 
 
 def ranked_neighbors(dist: np.ndarray, query: int,

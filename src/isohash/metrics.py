@@ -1,14 +1,14 @@
 """Evaluation metrics: worst-case distortion with its optimal scale, mean
 average precision over k-nearest neighbors, and Kendall tau rank correlation.
 
-The distortion scan walks the pair stream one row at a time
-(:func:`core.walk_rows`), keeping only a running max, its position and a
-histogram, so memory is O(Q) and no Q x Q structure is ever materialized;
-with ``n_threads`` the rows are split into blocks of equal pair count. The
-scale fit reads Hamming distances of the (sampled) pairs from the packed
-codes and their ambient distances row by row. The neighbor metrics read one
-query row at a time (:func:`core.query_rows`), O(Q) memory per query, and
-rank it with the shared rule :func:`core.ranked_neighbors`.
+The distortion scan runs on the tile engine (:class:`core.PairTiles`),
+keeping a running max, its stream position and a histogram: O(tile + Q)
+memory. Gram values only screen: pairs within twice the margin of a tile's
+max or of a histogram edge are recomputed literally, so delta, the worst
+secant and every count are those of a literal pass. ``n_threads`` pays off
+once the pass spans many tiles (Q around 10^4), not at Q = 2000. The scale
+fit uses literal distances. The neighbor metrics take query blocks as tiles
+(:func:`core.query_neighbors`), ranked by :func:`core.ranked_neighbors`.
 """
 
 from __future__ import annotations
@@ -23,18 +23,19 @@ from .core import (
     BinaryCodes,
     Dataset,
     HashModel,
+    PairTiles,
     SecantBatch,
     SecantRef,
     decode_pair_indices,
     hamming_pairs,
     hash_codes,
-    map_row_blocks,
+    map_tiles,
     pair_distances,
-    query_rows,
+    pair_linear_index,
+    query_neighbors,
     ranked_neighbors,
     sample_pair_indices,
     secant_count,
-    walk_rows,
 )
 
 __all__ = [
@@ -220,58 +221,72 @@ def max_distortion(
             pair_count=len(secants),
         )
 
-    total = secant_count(data.q)
-
-    if lam is None:
-        if total <= FIT_SAMPLE_LIMIT:
-            t = np.arange(total, dtype=np.int64)
-        else:
-            rng = np.random.default_rng(sample_seed)
-            t = sample_pair_indices(total, FIT_SAMPLE_LIMIT, rng)
-        i_idx, j_idx = decode_pair_indices(t)
-        v = hamming_pairs(codes, i_idx, j_idx).astype(np.float64)
-        rows = walk_rows(points, pairs=(i_idx, j_idx))
-        c = np.concatenate([c_row for _, c_row, _ in rows])
-        lam_star = _resolve_lambda(v, c, None)
-    else:
-        lam_star = float(lam)
+    lam_star = _fit_sample(codes, points, sample_seed) if lam is None else float(lam)
 
     # residual <= max(lam*M, c) and c <= 2 * max row norm
     c_upper = 2.0 * float(np.max(np.linalg.norm(points, axis=1)))
     hi = max(lam_star * model.m, c_upper, 1e-300)
     edges = np.linspace(0.0, hi * (1 + 1e-12), histogram_bins + 1)
+    tiles = PairTiles(points, codes)
+    margin = tiles.margin(lam_star)
+    scale = histogram_bins / edges[-1]
+    # a residual screened this far from every edge has bin floor(r * scale)
+    near = 2.0 * margin * scale
 
-    def scan(lo: int, hi: int):
+    def binned(idx):
+        return np.bincount(idx, minlength=histogram_bins)[:histogram_bins]
+
+    def scan(tile_list):
         delta, worst_t = -1.0, -1
         counts = np.zeros(histogram_bins, dtype=np.int64)
-        for i, c, h in walk_rows(points, codes, lo, hi):
-            resid = np.abs(lam_star * h - c)
-            k = int(np.argmax(resid))
-            if resid[k] > delta:
-                delta, worst_t = float(resid[k]), i * (i - 1) // 2 + k
-            counts += np.histogram(resid, bins=edges)[0]
+        for lo, hi in tile_list:
+            r = tiles.residuals(lo, hi, lam_star)
+            top = float(r.max())
+            if top + margin >= delta:
+                rows, j = np.nonzero(r >= top - 2.0 * margin)
+                exact = tiles.exact_residuals(lo + rows, j, lam_star)
+                k = int(np.argmax(exact))  # first is smallest stream position
+                if exact[k] > delta:
+                    delta = float(exact[k])
+                    worst_t = int(pair_linear_index(lo + rows[k], j[k]))
+            r *= scale
+            # off-stream entries land past the last bin, between two edges
+            idx = tiles.off_stream(r, lo, histogram_bins + 0.5).astype(np.intp)
+            counts += binned(idx.ravel())
+            r -= idx
+            r -= 0.5
+            rows, j = np.nonzero(np.abs(r, out=r) >= 0.5 - near)
+            rows, j = rows[j < lo + rows], j[j < lo + rows]
+            exact = tiles.exact_residuals(lo + rows, j, lam_star)
+            counts += np.histogram(exact, bins=edges)[0] - binned(idx[rows, j])
         return delta, worst_t, counts
 
-    parts = map_row_blocks(scan, data.q, n_threads)
-    delta, worst_t = -1.0, -1
-    counts = np.zeros(histogram_bins, dtype=np.int64)
-    for part_delta, part_t, part_counts in parts:
-        counts += part_counts
-        # deterministic tie-break: smallest stream position wins
-        if part_delta > delta or (part_delta == delta and part_t < worst_t):
-            delta, worst_t = part_delta, part_t
+    parts = map_tiles(scan, data.q, n_threads)
+    # deterministic tie-break: smallest stream position wins
+    delta, worst_t, _ = max(parts, key=lambda part: (part[0], -part[1]))
     wi, wj = decode_pair_indices(np.array([worst_t]))
-    worst = SecantRef(
-        int(wi[0]), int(wj[0]), float(pair_distances(points, wi, wj)[0])
-    )
+    worst = SecantRef(int(wi[0]), int(wj[0]), float(pair_distances(points, wi, wj)[0]))
     return DistortionReport(
         delta=delta,
         lambda_star=lam_star,
         worst_secant=worst,
         histogram_edges=edges,
-        histogram_counts=counts,
-        pair_count=total,
+        histogram_counts=sum(part[2] for part in parts),
+        pair_count=secant_count(data.q),
     )
+
+
+def _fit_sample(codes: BinaryCodes, points: np.ndarray, seed: int) -> float:
+    # lambda* on every pair or a uniform sample; returns before the scan
+    # starts, so the sample's memory is free for it
+    total = secant_count(len(points))
+    if total <= FIT_SAMPLE_LIMIT:
+        t = np.arange(total, dtype=np.int64)
+    else:
+        t = sample_pair_indices(total, FIT_SAMPLE_LIMIT, np.random.default_rng(seed))
+    i_idx, j_idx = decode_pair_indices(t)
+    v = hamming_pairs(codes, i_idx, j_idx).astype(np.float64)
+    return _resolve_lambda(v, pair_distances(points, i_idx, j_idx), None)
 
 
 def _resolve_lambda(v: np.ndarray, c: np.ndarray, lam: Optional[float]) -> float:
@@ -317,8 +332,8 @@ def map_at_k(
     queries = _check_queries(data, queries, k)
     codes = hash_codes(model, data)
     ap = np.empty(queries.size, dtype=np.float64)
-    for qi, (q, c, h) in enumerate(query_rows(data.points, codes, queries)):
-        ambient = ranked_neighbors(c, q, k)
+    rows = query_neighbors(data.points, codes, queries, k)
+    for qi, (q, ambient, _, h) in enumerate(rows):
         hamming = ranked_neighbors(h, q, k)
         ap[qi] = np.intersect1d(ambient, hamming).size / k
     return NeighborReport(k=k, map=float(ap.mean()), per_query_ap=ap)
@@ -336,8 +351,8 @@ def kendall_tau_at_k(
     codes = hash_codes(model, data)
     taus = np.empty(queries.size, dtype=np.float64)
     upper = np.triu_indices(k, 1)
-    for qi, (q, c, h) in enumerate(query_rows(data.points, codes, queries)):
-        members = ranked_neighbors(c, q, k)  # ambient order
+    rows = query_neighbors(data.points, codes, queries, k)
+    for qi, (_, members, _, h) in enumerate(rows):  # members in ambient order
         # rank of each member in the Hamming ordering (ties by index)
         rank = np.empty(k, dtype=np.int64)
         rank[np.lexsort((members, h[members]))] = np.arange(k)

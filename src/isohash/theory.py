@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, HashModel, hash_codes, query_rows, ranked_neighbors, sigmoid
+from .core import (Dataset, HashModel, hash_codes, query_neighbors, ranked_neighbors,
+                   sigmoid)
 from .metrics import _check_queries, max_distortion
 
 __all__ = [
@@ -107,9 +108,9 @@ def knn_sufficiency_check(model: HashModel, data: Dataset, queries=None,
     gaps = np.empty(queries.size)
     satisfied = []
     preserved = []
-    for qi, (q0, c, h) in enumerate(query_rows(data.points, codes, queries)):
-        nearest = ranked_neighbors(c, q0, k + 1)
-        gaps[qi] = float(c[nearest[k]] - c[nearest[k - 1]])
+    rows = query_neighbors(data.points, codes, queries, k + 1)
+    for qi, (q0, nearest, c, h) in enumerate(rows):
+        gaps[qi] = float(c[k] - c[k - 1])
         if gaps[qi] >= 2.0 * delta:
             # lambda > 0 scales every Hamming distance alike, so the
             # Hamming k-NN radius can be read off the integer distances

@@ -173,3 +173,22 @@ def sample_pair_indices_unique(total, k, rng):
     if pool.size > k:
         pool = np.sort(pool[rng.permutation(pool.size)[:k]])
     return pool
+
+
+def literal_row_scan(points, bits, lam, edges):
+    """(delta, (i, j), histogram counts) of |lam d_H - c| over every pair,
+    one row of the stream at a time, with c the literal l2 distance
+    sqrt(sum((x_i - x_j)^2)) and the smallest stream position winning ties."""
+    pts = np.asarray(points, dtype=np.float64)
+    b = np.asarray(bits, dtype=np.int64)
+    delta, worst = -1.0, None
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for i in range(1, pts.shape[0]):
+        d = pts[i] - pts[:i]
+        c = np.sqrt(np.einsum("ij,ij->i", d, d))
+        r = np.abs(lam * np.abs(b[:i] - b[i]).sum(axis=1) - c)
+        k = int(np.argmax(r))
+        if r[k] > delta:
+            delta, worst = float(r[k]), (i, k)
+        counts += np.histogram(r, bins=edges)[0]
+    return delta, worst, counts

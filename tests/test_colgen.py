@@ -7,8 +7,8 @@ import pytest
 
 from isohash.admm import SolverConfig
 from isohash.colgen import (
-    ActiveSet,
     CgConfig,
+    _union,
     identify_active,
     sample_initial_secants,
     scan_violators,
@@ -44,14 +44,14 @@ class TestSampleInitial:
         cfg = small_config(init_sample_size=500, scan_seed=11)
         a = sample_initial_secants(100, data, cfg)
         b = sample_initial_secants(100, data, cfg)
-        np.testing.assert_array_equal(a.secants.i, b.secants.i)
-        np.testing.assert_array_equal(a.secants.j, b.secants.j)
+        np.testing.assert_array_equal(a.i, b.i)
+        np.testing.assert_array_equal(a.j, b.j)
 
     def test_targets_are_true_distances(self):
         data = gen_random_dataset(20, 4, seed=2)
         active = sample_initial_secants(20, data, small_config(init_sample_size=30))
-        want = pair_distances(data.points, active.secants.i, active.secants.j)
-        np.testing.assert_array_equal(active.secants.c, want)
+        want = pair_distances(data.points, active.i, active.j)
+        np.testing.assert_array_equal(active.c, want)
 
     def test_pair_frequencies_uniform(self):
         # chi-square over all 45 pairs of Q=10, many seeds
@@ -63,7 +63,7 @@ class TestSampleInitial:
         for seed in range(draws):
             cfg = small_config(init_sample_size=k, scan_seed=seed)
             active = sample_initial_secants(10, data, cfg)
-            counts[active.secants.keys()] += 1
+            counts[active.keys()] += 1
         expected = draws * k / total
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # 95th percentile of chi2 with 44 dof is ~60.5; generous headroom
@@ -170,11 +170,17 @@ class TestScanViolators:
         assert not (len(a) == len(c) and np.array_equal(a.i, c.i))
 
 
-class TestActiveSetType:
-    def test_rejects_duplicates(self):
-        sec = SecantBatch([2, 2], [0, 0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="duplicate"):
-            ActiveSet(sec)
+class TestUnion:
+    def test_each_pair_once(self):
+        active = SecantBatch([2, 5, 7], [0, 1, 3], [1.0, 2.0, 3.0])
+        violators = SecantBatch([5, 6, 7, 9], [1, 2, 3, 4], [9.0, 4.0, 9.0, 5.0])
+        merged = _union(active, violators)
+        keys = merged.keys()
+        assert np.unique(keys).size == keys.size == 5
+        # resident secants keep their place and target; only fresh ones join
+        np.testing.assert_array_equal(merged.i, [2, 5, 7, 6, 9])
+        np.testing.assert_array_equal(merged.j, [0, 1, 3, 2, 4])
+        np.testing.assert_array_equal(merged.c, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 class TestTrainCg:

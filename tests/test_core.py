@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isohash import core
 from isohash.core import (
     BinaryCodes,
     Dataset,
@@ -11,15 +12,16 @@ from isohash.core import (
     decode_pair_indices,
     hamming_pairs,
     hash_matrix,
-    map_row_blocks,
+    map_tiles,
     pair_distances,
     pair_linear_index,
+    PairTiles,
     random_projection_matrix,
     relaxed_pair_dists,
+    row_tiles,
     sample_pair_indices,
     secant_count,
     sigmoid,
-    walk_rows,
 )
 
 from oracles import sample_pair_indices_unique
@@ -257,48 +259,58 @@ class TestPairDistances:
 
 
 class TestRowWalk:
+    """The tile engine walks the pair stream a tile of rows at a time."""
+
     def setup_method(self):
         rng = np.random.default_rng(14)
         self.pts = rng.standard_normal((23, 7))
         self.codes = hash_matrix(rng.standard_normal((11, 7)), self.pts)
+        self.tiles = PairTiles(self.pts, self.codes)
 
-    def test_rows_equal_gathered_pairs_bit_for_bit(self):
+    def test_rows_equal_gathered_pairs_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(core, "TILE_PAIRS", 60)
         i_idx, j_idx = decode_pair_indices(np.arange(secant_count(23)))
-        rows = list(walk_rows(self.pts, self.codes))
-        assert [i for i, _, _ in rows] == list(range(1, 23))
-        np.testing.assert_array_equal(np.concatenate([c for _, c, _ in rows]),
-                                      pair_distances(self.pts, i_idx, j_idx))
-        np.testing.assert_array_equal(np.concatenate([h for _, _, h in rows]),
+        h_rows, c_rows = [], []
+        for lo, hi in row_tiles(23):
+            h = self.tiles.hamming(slice(lo, hi), slice(0, hi))
+            c = self.tiles.ambient(slice(lo, hi), slice(0, hi))
+            h_rows += [h[a, :lo + a] for a in range(hi - lo)]
+            c_rows += [c[a, :lo + a] for a in range(hi - lo)]
+        # GEMM Hamming is exact; Gram distances stay within the margin
+        np.testing.assert_array_equal(np.concatenate(h_rows),
                                       hamming_pairs(self.codes, i_idx, j_idx))
+        gap = np.abs(np.concatenate(c_rows) - pair_distances(self.pts, i_idx, j_idx))
+        assert gap.max() <= self.tiles.margin()
         batch = SecantBatch.all_pairs(self.pts)
         np.testing.assert_array_equal(batch.i, i_idx)
         np.testing.assert_array_equal(batch.j, j_idx)
         np.testing.assert_array_equal(
             batch.c, SecantBatch.from_pairs(self.pts, i_idx, j_idx).c)
 
-    def test_pair_subset_and_row_range(self):
+    def test_pair_subset_and_row_range(self, monkeypatch):
         t = np.array([0, 4, 5, 30, 31, 33, 200, 252])
         i_idx, j_idx = decode_pair_indices(t)
-        rows = list(walk_rows(self.pts, self.codes, pairs=(i_idx, j_idx)))
-        assert [i for i, _, _ in rows] == sorted(set(i_idx.tolist()))
-        np.testing.assert_array_equal(np.concatenate([c for _, c, _ in rows]),
-                                      pair_distances(self.pts, i_idx, j_idx))
-        np.testing.assert_array_equal(np.concatenate([h for _, _, h in rows]),
-                                      hamming_pairs(self.codes, i_idx, j_idx))
-        assert [i for i, _, _ in walk_rows(self.pts, lo=5, hi=9)] == [5, 6, 7, 8]
-        assert all(h is None for _, _, h in walk_rows(self.pts))
+        one_by_one = [pair_distances(self.pts, [i], [j])[0] for i, j in zip(i_idx, j_idx)]
+        monkeypatch.setattr(core, "TILE_PAIRS", 3 * 7)  # three pairs per gather
+        np.testing.assert_array_equal(pair_distances(self.pts, i_idx, j_idx), one_by_one)
+        # rows [5, 9) x columns [0, 9): off-stream entries are -inf, the rest
+        # screen the literal residuals within the margin
+        r = self.tiles.residuals(5, 9, 0.3)
+        for a, i in enumerate(range(5, 9)):
+            assert np.all(np.isneginf(r[a, i:]))
+            exact = self.tiles.exact_residuals(np.full(i, i), np.arange(i), 0.3)
+            assert np.abs(r[a, :i] - exact).max() <= self.tiles.margin(0.3)
 
     @pytest.mark.parametrize("q", [2, 3, 23, 400])
-    def test_blocks_cover_rows_in_order(self, q):
+    def test_blocks_cover_rows_in_order(self, q, monkeypatch):
+        monkeypatch.setattr(core, "TILE_PAIRS", 500)
+        tiles = row_tiles(q)
+        assert tiles[0][0] == 1 and tiles[-1][1] == q
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+        assert all(hi == lo + 1 or (hi - lo) * hi <= 500 for lo, hi in tiles)
         for n_threads in (1, 2, 3, 5):
-            blocks = map_row_blocks(lambda lo, hi: (lo, hi), q, n_threads)
-            assert len(blocks) == n_threads
-            assert blocks[0][0] == 1 and blocks[-1][1] == q
-            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            assert all(lo <= hi for lo, hi in blocks)
-            if q == 400:  # near-equal pair counts once rows are short
-                sizes = [hi * (hi - 1) // 2 - lo * (lo - 1) // 2 for lo, hi in blocks]
-                assert max(sizes) - min(sizes) <= 2 * q
+            parts = map_tiles(lambda part: part, q, n_threads)
+            assert parts == [tiles[w::n_threads] for w in range(n_threads)]
 
 
 class TestSamplePairs:

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +59,12 @@ def test_loss_eval_counter_counts_every_evaluation(monkeypatch):
         restore()
     assert True in evals and False in evals
     assert rec.counters["admm.w_step.loss_evals"] == len(evals)
+
+
+def test_benchmark_selftest_passes():
+    # the self-test runs every workload at tiny size, traced, and requires
+    # the per-layer counters it knows (metrics.pair_distances.pairs,
+    # metrics.hamming_pairs.pairs, colgen.scan.pairs, ...) to be non-zero
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
