@@ -4,9 +4,20 @@ Each outer iteration performs four updates while the sigmoid rate grows
 geometrically from alpha_start to alpha_end (continuation):
 
 * W: accelerated gradient descent on the smooth quadratic penalty. With
-  S = sigma_alpha(X W^T) (Q x M) and the sparse |S| x Q pair-incidence
-  matrix B (+1 at i_k, -1 at j_k), v = rowsum((B S)^2) and the gradient is
-  -2 lambda ((B^T (r * B S)) * alpha S (1 - S))^T X; no per-pair copy of X,
+  S = sigma_alpha(X W^T) (Q x M), the relaxed distances are
+  v_k = ||S_i - S_j||^2 and the gradient is -2 lambda (P * alpha S (1 - S))^T X,
+  where P (Q x M) scatters the per-pair terms r_k (S_i - S_j) back onto the
+  points; no per-pair copy of X is made. A pair layout computes v and P,
+  chosen from the secant set alone:
+  - dense, when the secants cover at least half of the pair stream
+    (4 |S| >= Q (Q - 1)): v from the Gram matrix G = S S^T,
+    v_k = G_ii + G_jj - 2 G_ij, and P = diag(R 1 + R^T 1) S - (R + R^T) S
+    with R the Q x Q sum of the residuals at (i_k, j_k); no |S| x M array,
+  - incidence, for smaller sets: the sparse |S| x Q pair-incidence matrix B
+    (+1 at i_k, -1 at j_k), v = rowsum((B S)^2) and P = B^T (r * B S),
+    whose values equal the per-pair gather. Column generation's restricted
+    sets stay here, and so does its delta, which moves with the last bits
+    of the gradient,
 * u: the l-inf proximal map, computed by Moreau decomposition through an
   l1-ball projection,
 * lambda: a clamped positive least-squares scalar,
@@ -34,7 +45,6 @@ from .core import (
     hamming_pairs,
     hash_matrix,
     random_projection_matrix,
-    relaxed_pair_dists,
     sigmoid,
 )
 from .metrics import fit_lambda_chebyshev
@@ -118,23 +128,68 @@ def augmented_loss(u, v, c, y, lam: float, rho: float = 1.0) -> float:
     return uinf + 0.5 * rho * float(r @ r)
 
 
-def _pair_incidence(secants: SecantBatch, q: int) -> sparse.csr_matrix:
-    """The |S| x Q pair-incidence matrix: row k is +1 at i_k and -1 at j_k,
-    so (B s)_k = s[i_k] - s[j_k] exactly."""
-    k = len(secants)
-    return sparse.csr_matrix(
-        (np.tile([1.0, -1.0], k), np.column_stack([secants.i, secants.j]).ravel(),
-         np.arange(0, 2 * k + 1, 2)),
-        shape=(k, q),
-    )
+class _IncidencePairs:
+    """Pair layout through the sparse |S| x Q pair-incidence matrix B: row k
+    is +1 at i_k and -1 at j_k, so (B S)_k = S[i_k] - S[j_k] exactly."""
+
+    def __init__(self, secants: SecantBatch, q: int):
+        k = len(secants)
+        self.b = sparse.csr_matrix(
+            (np.tile([1.0, -1.0], k),
+             np.column_stack([secants.i, secants.j]).ravel(),
+             np.arange(0, 2 * k + 1, 2)),
+            shape=(k, q),
+        )
+
+    def dists(self, s):
+        """Relaxed distances v, and the differences B S that ``scatter``
+        reuses."""
+        d = self.b @ s
+        return np.einsum("ij,ij->i", d, d), d
+
+    def scatter(self, s, r, d):
+        """P = B^T (r * B S): per point, the sum of its signed pair terms."""
+        return self.b.T @ (r[:, None] * d)
 
 
-def _w_loss_grad(w, points, secants, b, u, y, lam, alpha, want_grad=True):
+class _GramPairs:
+    """Pair layout through Q x Q matrices, for secant sets that cover at
+    least half of the pair stream: no array grows with |S| x M."""
+
+    def __init__(self, secants: SecantBatch, q: int):
+        self.q = q
+        self.flat = secants.i * q + secants.j
+
+    def dists(self, s):
+        """Relaxed distances v_k = G_ii + G_jj - 2 G_ij with G = S S^T."""
+        g = s @ s.T
+        diag = g.diagonal().copy()
+        g *= -2.0
+        g += diag[:, None]
+        g += diag
+        return g.ravel()[self.flat], None
+
+    def scatter(self, s, r, _):
+        """P = diag(R 1 + R^T 1) S - (R + R^T) S, where R sums the residuals
+        at (i_k, j_k), so duplicated secants add up."""
+        rm = np.bincount(self.flat, r, self.q * self.q).reshape(self.q, self.q)
+        # R S + R^T S rather than (R + R^T) S: no second Q x Q array
+        return (rm.sum(axis=0) + rm.sum(axis=1))[:, None] * s - (rm @ s + rm.T @ s)
+
+
+def _pair_layout(secants: SecantBatch, q: int):
+    """The dense layout when the secants cover at least half of the pair
+    stream, the incidence layout otherwise."""
+    dense = 4 * len(secants) >= q * (q - 1)
+    return (_GramPairs if dense else _IncidencePairs)(secants, q)
+
+
+def _w_loss_grad(w, points, secants, layout, u, y, lam, alpha, want_grad=True):
     """W-subproblem loss 0.5 ||u - lam v + c + y||^2, with its gradient
-    unless ``want_grad`` is False; ``b`` is ``_pair_incidence(secants, Q)``."""
+    unless ``want_grad`` is False; ``layout`` is a pair layout of
+    ``secants`` (``_pair_layout(secants, Q)``)."""
     s = sigmoid(points @ w.T, alpha)
-    d = b @ s
-    v = np.einsum("ij,ij->i", d, d)
+    v, aux = layout.dists(s)
     r = u - lam * v + secants.c + y
     f = 0.5 * float(r @ r)
     if not np.isfinite(f):
@@ -146,7 +201,7 @@ def _w_loss_grad(w, points, secants, b, u, y, lam, alpha, want_grad=True):
     if not want_grad:
         return f, None
     # per-point sum of the signed per-pair terms, then one M x Q x N product
-    p = b.T @ (r[:, None] * d)
+    p = layout.scatter(s, r, aux)
     grad = -2.0 * lam * ((p * (alpha * s * (1.0 - s))).T @ points)
     if not np.all(np.isfinite(grad)):
         bad = int(np.argmax(np.abs(r)))
@@ -163,11 +218,13 @@ def _agd(f_grad, f_only, w0, iters, tol):
     x = w0
     yv = w0
     t = 1.0
-    fx = f_only(x)
+    fy, gy = f_grad(w0)  # the entry point is also the first extrapolation
+    fx = fy
     f_best, x_best = fx, x
     lip = 1.0
-    for _ in range(iters):
-        fy, gy = f_grad(yv)
+    for k in range(iters):
+        if k:
+            fy, gy = f_grad(yv)
         gnorm2 = float((gy * gy).sum())
         if gnorm2 <= 1e-30:
             break
@@ -199,7 +256,7 @@ def w_step(state: SolverState, secants: SecantBatch, data: Dataset,
     """Approximately minimize the quadratic penalty over W with u, y, lambda,
     alpha held fixed; never returns a worse W than it was given."""
     pts = data.points
-    args = (pts, secants, _pair_incidence(secants, data.q), state.u, state.y,
+    args = (pts, secants, _pair_layout(secants, data.q), state.u, state.y,
             state.lam, state.alpha)
 
     def f_grad(w):
@@ -329,6 +386,11 @@ def train_nibh(
     if w.shape != (m, data.n):
         raise ValueError(f"w0 has shape {w.shape}, expected ({m}, {data.n})")
 
+    layout = _pair_layout(secants, data.q)
+
+    def relaxed_dists(w, alpha):
+        return layout.dists(sigmoid(pts @ w.T, alpha))[0]
+
     # The u-step makes u track lambda*v - c - y, so the least-squares
     # lambda update nearly reproduces the previous lambda each iteration;
     # lambda therefore has to START on the right scale. Fit it to the
@@ -337,7 +399,7 @@ def train_nibh(
     if fixed_lambda is not None:
         lam0 = float(fixed_lambda)
     else:
-        v0 = relaxed_pair_dists(w, pts, i_idx, j_idx, config.alpha_end)
+        v0 = relaxed_dists(w, config.alpha_end)
         vv0 = float(v0 @ v0)
         lam0 = max(config.lambda_min, float(v0 @ c) / vv0) if vv0 > 0 else 1.0
 
@@ -360,7 +422,7 @@ def train_nibh(
             state.alpha = min(state.alpha * config.alpha_growth, config.alpha_end)
         state.iteration = it
         state.w = w_step(state, secants, data, config)
-        v = relaxed_pair_dists(state.w, pts, i_idx, j_idx, state.alpha)
+        v = relaxed_dists(state.w, state.alpha)
         state.u = u_step(state.lam * v - c - state.y, config.rho)
         if fixed_lambda is None:
             state.lam = lambda_step(state.u, v, c, state.y,

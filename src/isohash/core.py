@@ -43,7 +43,6 @@ __all__ = [
     "hash_codes",
     "hash_matrix",
     "sigmoid",
-    "relaxed_pair_dists",
     "hamming_pairs",
     "secant_count",
     "pair_linear_index",
@@ -264,18 +263,6 @@ def hash_codes(model: HashModel, data: Dataset) -> BinaryCodes:
             f"model W is {model.w.shape}"
         )
     return hash_matrix(model.w, data.points)
-
-
-def relaxed_pair_dists(w, points, i_idx, j_idx, alpha: float) -> np.ndarray:
-    """Squared l2 distances between the sigmoid embeddings of the pairs
-    (i_idx, j_idx).
-
-    This is the smooth surrogate for the Hamming distance of the quantized
-    codes; each value lies in [0, M].
-    """
-    s = sigmoid(np.asarray(points, dtype=np.float64) @ np.asarray(w).T, alpha)
-    d = s[i_idx] - s[j_idx]
-    return np.einsum("ij,ij->i", d, d)
 
 
 # ---------------------------------------------------------------------------

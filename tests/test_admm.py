@@ -1,15 +1,21 @@
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from isohash import admm
 from isohash.admm import (
     DivergenceError,
     SolverConfig,
     SolverState,
+    _GramPairs,
+    _IncidencePairs,
+    _pair_layout,
+    _w_loss_grad,
     augmented_loss,
     lambda_step,
     project_l1_ball,
@@ -18,7 +24,13 @@ from isohash.admm import (
     w_step,
     y_step,
 )
-from isohash.core import Dataset, SecantBatch, hash_matrix, random_projection_matrix
+from isohash.core import (
+    Dataset,
+    SecantBatch,
+    decode_pair_indices,
+    hash_matrix,
+    random_projection_matrix,
+)
 from isohash.metrics import max_distortion
 
 
@@ -30,10 +42,15 @@ def all_secants(points):
     return SecantBatch.from_pairs(points, i_idx, j_idx)
 
 
-def w_loss_grad(w, points, sec, u, y, lam, alpha, want_grad=True):
-    from isohash.admm import _pair_incidence, _w_loss_grad
+# the W-step tests run every case through both pair layouts, each built
+# directly, whichever one training would select for the secant set
+LAYOUTS = (_GramPairs, _IncidencePairs)
 
-    return _w_loss_grad(w, points, sec, _pair_incidence(sec, len(points)),
+
+def w_loss_grad(layout, w, points, sec, u, y, lam, alpha, want_grad=True):
+    """``_w_loss_grad`` through ``layout``, a pair-layout class (or
+    ``_pair_layout`` for the one training selects)."""
+    return _w_loss_grad(w, points, sec, layout(sec, len(points)),
                         u, y, lam, alpha, want_grad=want_grad)
 
 
@@ -148,15 +165,16 @@ class TestWStep:
         y = rng.standard_normal(len(sec))
         lam = 1.3
 
-        def f(wmat):
-            val, _ = w_loss_grad(wmat, pts, sec, u, y, lam, alpha,
-                                 want_grad=False)
-            return val
+        for layout in LAYOUTS:
+            def f(wmat):
+                val, _ = w_loss_grad(layout, wmat, pts, sec, u, y, lam, alpha,
+                                     want_grad=False)
+                return val
 
-        _, grad = w_loss_grad(w, pts, sec, u, y, lam, alpha)
-        fd = oracles.central_diff_gradient(f, w, h=1e-6)
-        rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
-        assert rel < 1e-5
+            _, grad = w_loss_grad(layout, w, pts, sec, u, y, lam, alpha)
+            fd = oracles.central_diff_gradient(f, w, h=1e-6)
+            rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
+            assert rel < 1e-5, layout.__name__
 
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     def test_secant_subset_gradient(self, alpha):
@@ -174,16 +192,101 @@ class TestWStep:
         y = rng.standard_normal(len(sec))
         lam = 0.8
 
-        f, grad = w_loss_grad(w, pts, sec, u, y, lam, alpha)
         f_ref, grad_ref = oracles.w_loss_grad_loop(w, pts, sec.i, sec.j, sec.c,
                                                    u, y, lam, alpha)
-        assert f == pytest.approx(f_ref, rel=1e-12)
-        np.testing.assert_allclose(grad, grad_ref, rtol=1e-10,
-                                   atol=1e-12 * np.abs(grad_ref).max())
-        fd = oracles.central_diff_gradient(
-            lambda wmat: w_loss_grad(wmat, pts, sec, u, y, lam, alpha,
-                                     want_grad=False)[0], w, h=1e-6)
-        assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
+        for layout in LAYOUTS:
+            f, grad = w_loss_grad(layout, w, pts, sec, u, y, lam, alpha)
+            assert f == pytest.approx(f_ref, rel=1e-12), layout.__name__
+            np.testing.assert_allclose(grad, grad_ref, rtol=1e-10,
+                                       atol=1e-12 * np.abs(grad_ref).max(),
+                                       err_msg=layout.__name__)
+            fd = oracles.central_diff_gradient(
+                lambda wmat: w_loss_grad(layout, wmat, pts, sec, u, y, lam,
+                                         alpha, want_grad=False)[0], w, h=1e-6)
+            assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5, \
+                layout.__name__
+
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    def test_layouts_agree_with_loop(self, alpha):
+        # point 9 repeats point 2, so secant (9, 2) has c = 0; it and (5, 1)
+        # appear twice, which the dense layout's residual sums must add up
+        rng = np.random.default_rng(350)
+        q, n, m = 10, 4, 3
+        pts = rng.standard_normal((q, n))
+        pts[9] = pts[2]
+        pairs = [(9, 2), (5, 1), (9, 2), (7, 3), (5, 1), (8, 0), (4, 2),
+                 (6, 5), (3, 0)]
+        sec = SecantBatch.from_pairs(pts, [p[0] for p in pairs],
+                                     [p[1] for p in pairs])
+        assert sec.c[0] == 0.0
+        w = rng.standard_normal((m, n)) * 0.5
+        u = rng.standard_normal(len(sec))
+        y = rng.standard_normal(len(sec))
+        lam = 1.1
+
+        f_ref, grad_ref = oracles.w_loss_grad_loop(w, pts, sec.i, sec.j, sec.c,
+                                                   u, y, lam, alpha)
+        atol = 1e-12 * np.abs(grad_ref).max()
+        (f_g, grad_g), (f_b, grad_b) = (
+            w_loss_grad(layout, w, pts, sec, u, y, lam, alpha)
+            for layout in LAYOUTS)
+        for f, grad in ((f_g, grad_g), (f_b, grad_b)):
+            assert f == pytest.approx(f_ref, rel=1e-12)
+            np.testing.assert_allclose(grad, grad_ref, rtol=1e-10, atol=atol)
+        assert f_g == pytest.approx(f_b, rel=1e-12)
+        np.testing.assert_allclose(grad_g, grad_b, rtol=1e-10, atol=atol)
+
+    def test_layout_follows_stream_coverage(self):
+        # dense once the secants cover half of the Q (Q - 1) / 2 pairs
+        def layout_for(q, n_sec):
+            i, j = decode_pair_indices(np.arange(n_sec))
+            return type(_pair_layout(SecantBatch(i, j, np.ones(n_sec)), q))
+
+        assert layout_for(144, 144 * 143 // 2) is _GramPairs
+        assert layout_for(280, 5000) is _IncidencePairs
+        assert layout_for(2, 1) is _GramPairs
+        assert layout_for(8, 14) is _GramPairs
+        assert layout_for(8, 13) is _IncidencePairs
+
+    def test_all_pairs_gradient_memory(self):
+        # all 499,500 pairs of Q=1000 with M=16: each |S| x M array would
+        # take 61 MiB, the dense layout's Q x Q matrices take 7.6 MiB
+        rng = np.random.default_rng(60)
+        q, n, m = 1000, 100, 16
+        pts = rng.standard_normal((q, n))
+        i, j = np.tril_indices(q, -1)
+        sec = SecantBatch(i, j, rng.uniform(0.5, 2.0, i.size))
+        layout = _pair_layout(sec, q)
+        assert isinstance(layout, _GramPairs)
+        w = rng.standard_normal((m, n)) * 0.1
+        u, y = np.zeros(len(sec)), np.zeros(len(sec))
+        tracemalloc.start()
+        try:
+            _, grad = _w_loss_grad(w, pts, sec, layout, u, y, 0.5, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(grad))
+        assert peak < 32 * 2**20
+
+    def test_entry_point_evaluated_once(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        pts = rng.standard_normal((9, 3))
+        sec = all_secants(pts)
+        state = make_state(rng.standard_normal((2, 3)),
+                           rng.standard_normal(len(sec)), np.zeros(len(sec)),
+                           0.7, 2.0)
+        seen = []
+        inner = admm._w_loss_grad
+
+        def recorded(w, *args, **kwargs):
+            seen.append(w.copy())
+            return inner(w, *args, **kwargs)
+
+        monkeypatch.setattr(admm, "_w_loss_grad", recorded)
+        w_step(state, sec, Dataset(pts), SolverConfig(inner_gd_iters=5))
+        assert len(seen) > 1
+        assert sum(np.array_equal(w, state.w) for w in seen) == 1
 
     def test_non_finite_u_names_secant(self):
         rng = np.random.default_rng(34)
@@ -208,8 +311,9 @@ class TestWStep:
 
     def test_never_increases_objective(self):
         def loss(state):
-            return w_loss_grad(state.w, pts, sec, state.u, state.y, state.lam,
-                               state.alpha, want_grad=False)[0]
+            return w_loss_grad(_pair_layout, state.w, pts, sec, state.u,
+                               state.y, state.lam, state.alpha,
+                               want_grad=False)[0]
 
         rng = np.random.default_rng(32)
         pts = rng.standard_normal((10, 4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isohash import core
+from isohash.admm import _IncidencePairs
 from isohash.core import (
     BinaryCodes,
     Dataset,
@@ -17,7 +18,6 @@ from isohash.core import (
     pair_linear_index,
     PairTiles,
     random_projection_matrix,
-    relaxed_pair_dists,
     row_tiles,
     sample_pair_indices,
     secant_count,
@@ -31,8 +31,16 @@ def lexicographic_pairs(q):
     return [(i, j) for i in range(1, q) for j in range(i)]
 
 
+def relaxed_pair_dists(w, points, i_idx, j_idx, alpha):
+    # training's relaxed distances for a secant set below half of the pair
+    # stream: the incidence layout, whose values equal the per-pair gather
+    sec = SecantBatch(i_idx, j_idx, np.zeros(len(i_idx)))
+    s = sigmoid(points @ w.T, alpha)
+    return _IncidencePairs(sec, len(points)).dists(s)[0]
+
+
 def relaxed_one(w, x_i, x_j, alpha):
-    return relaxed_pair_dists(w, np.array([x_i, x_j]), [0], [1], alpha)[0]
+    return relaxed_pair_dists(w, np.array([x_j, x_i]), [1], [0], alpha)[0]
 
 
 def hamming_one(codes, i, j):

@@ -35,7 +35,8 @@ def test_benchmark_tracer_resolves_against_package():
 def test_loss_eval_counter_counts_every_evaluation(monkeypatch):
     # admm.w_step.loss_evals counts sigmoid calls inside the W-step; it is a
     # true evaluation count only while each loss or loss+gradient evaluation
-    # makes exactly one of them
+    # makes exactly one of them, on either pair layout: all 28 pairs of 8
+    # points run the dense one, 10 of them the incidence one
     tracing = _tracing()
     evals = []
     inner = admm._w_loss_grad
@@ -47,18 +48,22 @@ def test_loss_eval_counter_counts_every_evaluation(monkeypatch):
     monkeypatch.setattr(admm, "_w_loss_grad", counted)
     rng = np.random.default_rng(40)
     pts = rng.standard_normal((8, 3))
-    sec = SecantBatch.all_pairs(pts)
-    state = admm.SolverState(w=rng.standard_normal((2, 3)),
-                             u=rng.standard_normal(len(sec)),
-                             y=np.zeros(len(sec)), lam=0.7, alpha=2.0)
-    rec = tracing.Recorder()
-    restore = tracing.instrument(rec)
-    try:
-        admm.w_step(state, sec, Dataset(pts), admm.SolverConfig(inner_gd_iters=6))
-    finally:
-        restore()
-    assert True in evals and False in evals
-    assert rec.counters["admm.w_step.loss_evals"] == len(evals)
+    for n_sec, layout in ((28, admm._GramPairs), (10, admm._IncidencePairs)):
+        evals.clear()
+        sec = SecantBatch.all_pairs(pts).subset(slice(0, n_sec))
+        assert type(admm._pair_layout(sec, len(pts))) is layout
+        state = admm.SolverState(w=rng.standard_normal((2, 3)),
+                                 u=rng.standard_normal(len(sec)),
+                                 y=np.zeros(len(sec)), lam=0.7, alpha=2.0)
+        rec = tracing.Recorder()
+        restore = tracing.instrument(rec)
+        try:
+            admm.w_step(state, sec, Dataset(pts),
+                        admm.SolverConfig(inner_gd_iters=6))
+        finally:
+            restore()
+        assert True in evals and False in evals
+        assert rec.counters["admm.w_step.loss_evals"] == len(evals)
 
 
 def test_benchmark_selftest_passes():
