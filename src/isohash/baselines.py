@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Dataset, HashModel, SecantBatch, random_projection_matrix,
-                   ranked_neighbors)
-from .metrics import fit_lambda_chebyshev, max_distortion
+from .core import (Dataset, HashModel, SecantBatch, hash_matrix,
+                   random_projection_matrix, ranked_neighbors)
+from .metrics import fit_lambda_chebyshev, refit_lambda
 
 __all__ = [
     "GridSearchResult",
@@ -47,16 +47,15 @@ def lsh_model(m: int, n: int, seed: int, data: Dataset | None = None) -> HashMod
     """Random-projection hashing: W has i.i.d. standard normal entries.
 
     When training data is supplied, the scale is fitted post hoc by the
-    minimax lambda fit over all its pairs and the model inherits the data's
-    preprocessing stats; otherwise lambda is 1 and the stats are neutral.
+    minimax lambda fit over all its pairs (:func:`metrics.refit_lambda`) and
+    the model inherits the data's preprocessing stats; otherwise lambda is 1
+    and the stats are neutral.
     """
     w = random_projection_matrix(m, n, seed)
     if data is None:
         return HashModel(w=w, lam=1.0, alpha=10.0, mean=np.zeros(n), normalized=False)
-    provisional = HashModel(w=w, lam=1.0, alpha=10.0, mean=data.mean,
-                            normalized=data.normalized)
-    rep = max_distortion(provisional, data)
-    return HashModel(w=w, lam=rep.lambda_star, alpha=10.0, mean=data.mean,
+    lam = refit_lambda(hash_matrix(w, data.points), data.points)
+    return HashModel(w=w, lam=lam, alpha=10.0, mean=data.mean,
                      normalized=data.normalized)
 
 

@@ -6,8 +6,15 @@ keeping a running max, its stream position and a histogram: O(tile + Q)
 memory. Gram values only screen: pairs within twice the margin of a tile's
 max or of a histogram edge are recomputed literally, so delta, the worst
 secant and every count are those of a literal pass. ``n_threads`` pays off
-once the pass spans many tiles (Q around 10^4), not at Q = 2000. The scale
-fit uses literal distances. The neighbor metrics take query blocks as tiles
+once the pass spans many tiles (Q around 10^4), not at Q = 2000.
+
+The scale is fitted exactly over every pair, in one more tile pass. At a
+fixed lambda the largest rounded |lambda h - c| among the pairs at Hamming
+level h sits at that level's smallest or largest literal distance c, so the
+Chebyshev fit over those at most 2(M + 1) extremes is the fit over all
+pairs, bit for bit. The pass keeps running per-level extremes and
+recomputes literally the pairs whose Gram distance lies within twice the
+margin of one. The neighbor metrics take query blocks as tiles
 (:func:`core.query_neighbors`), ranked by :func:`core.ranked_neighbors`.
 """
 
@@ -34,7 +41,7 @@ from .core import (
     pair_linear_index,
     query_neighbors,
     ranked_neighbors,
-    sample_pair_indices,
+    sample_pair_indices,  # unused; perfbench/tracing.py times it as fit_sample
     secant_count,
 )
 
@@ -43,15 +50,11 @@ __all__ = [
     "NeighborReport",
     "fit_lambda_chebyshev",
     "max_distortion",
+    "refit_lambda",
     "map_at_k",
     "kendall_tau_at_k",
     "report_json",
 ]
-
-# exact Chebyshev fit up to this many pairs; above it, fit on a uniform
-# sample of this size and keep the reported delta exact via the full pass
-FIT_SAMPLE_LIMIT = 10**6
-
 
 @dataclass
 class DistortionReport:
@@ -189,7 +192,6 @@ def max_distortion(
     lam: Optional[float] = None,
     n_threads: int = 1,
     histogram_bins: int = 64,
-    sample_seed: int = 0,
 ) -> DistortionReport:
     """Worst-case distortion of a model on a dataset.
 
@@ -197,7 +199,8 @@ def max_distortion(
     ``lam`` to evaluate at a fixed scale, e.g. the model's own. With
     ``secants`` the scan is restricted to that batch (using its targets,
     which may be overridden); otherwise every pair is streamed with true
-    ambient distances.
+    ambient distances, and the refit is :func:`refit_lambda`, exact over
+    every pair: one tile pass for the per-level extremes, then the scan.
     """
     codes = hash_codes(model, data)
     points = data.points
@@ -221,7 +224,7 @@ def max_distortion(
             pair_count=len(secants),
         )
 
-    lam_star = _fit_sample(codes, points, sample_seed) if lam is None else float(lam)
+    lam_star = refit_lambda(codes, points, n_threads) if lam is None else float(lam)
 
     # residual <= max(lam*M, c) and c <= 2 * max row norm
     c_upper = 2.0 * float(np.max(np.linalg.norm(points, axis=1)))
@@ -276,17 +279,46 @@ def max_distortion(
     )
 
 
-def _fit_sample(codes: BinaryCodes, points: np.ndarray, seed: int) -> float:
-    # lambda* on every pair or a uniform sample; returns before the scan
-    # starts, so the sample's memory is free for it
-    total = secant_count(len(points))
-    if total <= FIT_SAMPLE_LIMIT:
-        t = np.arange(total, dtype=np.int64)
-    else:
-        t = sample_pair_indices(total, FIT_SAMPLE_LIMIT, np.random.default_rng(seed))
-    i_idx, j_idx = decode_pair_indices(t)
-    v = hamming_pairs(codes, i_idx, j_idx).astype(np.float64)
-    return _resolve_lambda(v, pair_distances(points, i_idx, j_idx), None)
+def refit_lambda(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1) -> float:
+    """The minimax scale lambda* over every pair of ``points``: the Chebyshev
+    fit over each Hamming level's smallest and largest literal distance,
+    which equals the fit over all pairs (see the module docstring)."""
+    lo, hi = _level_extremes(codes, points, n_threads)
+    level = np.flatnonzero(lo <= hi)  # the levels some pair sits at
+    v = np.concatenate([level, level]).astype(np.float64)
+    return _resolve_lambda(v, np.concatenate([lo[level], hi[level]]), None)
+
+
+def _level_extremes(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1):
+    """(lo, hi): the smallest and largest literal distance of the pairs at
+    each Hamming level 0..M, inf and -inf where no pair is; O(tile + Q)."""
+    tiles = PairTiles(points, codes)
+    margin, levels = tiles.margin(), codes.n_bits + 1
+
+    def extremes(tile_list):
+        lo, hi = np.full(levels, np.inf), np.full(levels, -np.inf)
+        for t0, t1 in tile_list:
+            c = tiles.ambient(slice(t0, t1), slice(0, t1))
+            c = tiles.off_stream(c, t0, np.nan).ravel()
+            h = tiles.hamming(slice(t0, t1), slice(0, t1)).astype(np.intp).ravel()
+            # the entries that could pass a running extreme (never a NaN) ...
+            idx = np.flatnonzero((c <= (lo + margin)[h]) | (c >= (hi - margin)[h]))
+            c, h = c[idx], h[idx]
+            # ... and of those, the ones within twice the margin of the new one
+            below, above = lo.copy(), hi.copy()
+            np.minimum.at(below, h, c + margin)
+            np.maximum.at(above, h, c - margin)
+            keep = (c <= below[h] + margin) | (c >= above[h] - margin)
+            rows, j = np.divmod(idx[keep], t1)
+            exact = pair_distances(points, t0 + rows, j)
+            level = hamming_pairs(codes, t0 + rows, j)
+            np.minimum.at(lo, level, exact)
+            np.maximum.at(hi, level, exact)
+        return lo, hi
+
+    parts = map_tiles(extremes, len(points), n_threads)
+    return (np.minimum.reduce([lo for lo, _ in parts]),
+            np.maximum.reduce([hi for _, hi in parts]))
 
 
 def _resolve_lambda(v: np.ndarray, c: np.ndarray, lam: Optional[float]) -> float:

@@ -192,3 +192,38 @@ def literal_row_scan(points, bits, lam, edges):
             delta, worst = float(r[k]), (i, k)
         counts += np.histogram(r, bins=edges)[0]
     return delta, worst, counts
+
+
+def _literal_pairs(points, bits):
+    """(Hamming distance, literal l2 distance) of every pair in stream order,
+    the distances by the row-wise sqrt(sum((x_i - x_j)^2)) of literal_row_scan."""
+    pts = np.asarray(points, dtype=np.float64)
+    b = np.asarray(bits, dtype=np.int64)
+    v, c = [], []
+    for i in range(1, pts.shape[0]):
+        d = pts[i] - pts[:i]
+        c.append(np.sqrt(np.einsum("ij,ij->i", d, d)))
+        v.append(np.abs(b[:i] - b[i]).sum(axis=1))
+    return np.concatenate(v), np.concatenate(c)
+
+
+def literal_refit_lambda(points, bits):
+    """lambda* of fit_lambda_chebyshev over every pair's integer Hamming
+    distance and literal l2 distance."""
+    from isohash.metrics import fit_lambda_chebyshev
+
+    v, c = _literal_pairs(points, bits)
+    return fit_lambda_chebyshev(v.astype(np.float64), c)[0]
+
+
+def literal_level_extremes(points, bits):
+    """(lo, hi): the smallest and largest literal distance among the pairs at
+    each Hamming level 0..M, inf and -inf at levels no pair sits at."""
+    v, c = _literal_pairs(points, bits)
+    m = np.asarray(bits).shape[1]
+    lo, hi = np.full(m + 1, np.inf), np.full(m + 1, -np.inf)
+    for level in range(m + 1):
+        at = c[v == level]
+        if at.size:
+            lo[level], hi[level] = at.min(), at.max()
+    return lo, hi

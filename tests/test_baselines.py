@@ -11,7 +11,8 @@ from isohash.baselines import (
     nn_order_preserved,
 )
 from isohash.core import Dataset
-from isohash.dataio import preprocess
+from isohash.dataio import gen_translating_squares, preprocess
+from isohash.metrics import max_distortion
 
 
 class TestLshModel:
@@ -39,6 +40,15 @@ class TestLshModel:
         assert model.lam > 0 and model.lam != 1.0
         assert model.normalized
         np.testing.assert_array_equal(model.mean, data.mean)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "squares"])
+    def test_lambda_is_the_refit_scale(self, kind):
+        if kind == "gaussian":
+            data = preprocess(np.random.default_rng(12).standard_normal((60, 12)))
+        else:  # many tied distances
+            data = preprocess(gen_translating_squares(grid=8, square=3).points)
+        model = lsh_model(8, data.n, seed=2, data=data)
+        assert model.lam == max_distortion(model, data).lambda_star
 
 
 class TestGridSearch:

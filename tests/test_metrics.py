@@ -75,7 +75,16 @@ class TestMaxDistortion:
         model = make_model(random_projection_matrix(4, 2, 0))
         rep = max_distortion(model, data)
         assert rep.delta == 0.0
+        assert rep.lambda_star == 1.0  # vacuously isometric at any scale
         assert rep.pair_count == 1
+
+    def test_constant_codes_raise(self):
+        # every code equal: no positive Hamming distance to scale
+        pts = np.random.default_rng(26).standard_normal((12, 3))
+        data = Dataset(pts)
+        c_max = max(np.linalg.norm(pts[i] - pts[j]) for i in range(12) for j in range(i))
+        with pytest.raises(ValueError, match=f"collapsed; delta = max c = {c_max:g}$"):
+            max_distortion(make_model(np.zeros((4, 3))), data)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(21)

@@ -15,7 +15,7 @@ from isohash import core
 from isohash.colgen import scan_violators
 from isohash.core import Dataset, HashModel, hash_matrix, row_tiles
 from isohash.metrics import (
-    _fit_sample,
+    _level_extremes,
     kendall_tau_at_k,
     map_at_k,
     max_distortion,
@@ -93,8 +93,8 @@ class TestGramCancellation:
 
     def test_max_distortion_matches_literal_scan(self, q, small_tiles):
         pts, data, model, bits = self.make(q)
-        # the refit scale comes from literal distances of every pair
-        lam = _fit_sample(hash_matrix(model.w, pts), pts, 0)
+        # the refit scale is the fit over literal distances of every pair
+        lam = oracles.literal_refit_lambda(pts, bits)
         on_edge = self.lam_on_edge(pts, bits)
         for fixed in [None, lam, 1e-3] + ([] if on_edge is None else [on_edge]):
             for n_threads in (1, 3):
@@ -105,6 +105,14 @@ class TestGramCancellation:
                 assert rep.delta == delta
                 assert (rep.worst_secant.i, rep.worst_secant.j) == worst
                 np.testing.assert_array_equal(rep.histogram_counts, counts)
+
+    def test_level_extremes_match_literal(self, q, small_tiles):
+        pts, data, model, bits = self.make(q)
+        lo, hi = oracles.literal_level_extremes(pts, bits)
+        for n_threads in (1, 3):
+            got = _level_extremes(hash_matrix(model.w, pts), pts, n_threads)
+            np.testing.assert_array_equal(got[0], lo)
+            np.testing.assert_array_equal(got[1], hi)
 
     def test_violator_batch_matches_exhaustive_filter(self, q, small_tiles):
         pts, data, model, bits = self.make(q)
@@ -159,16 +167,25 @@ def test_full_size_tile_boundary(q):
     np.testing.assert_array_equal(rep.histogram_counts, counts)
 
 
-def test_fixed_lambda_scan_memory_is_tile_bounded():
-    # O(tile + Q): a few tile-sized arrays plus the codes, far below the
-    # 36 MB that one float64 row per pair of a 3000-point stream would take
+def traced_peak(**kw):
+    """tracemalloc peak of max_distortion on a 3000-point stream (4.5 M pairs)."""
     rng = np.random.default_rng(5)
     data = Dataset(rng.standard_normal((3000, 100)))
     model = model_for(data.points, m=16)
     tracemalloc.start()
     try:
-        max_distortion(model, data, lam=0.3)
-        peak = tracemalloc.get_traced_memory()[1]
+        max_distortion(model, data, **kw)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_fixed_lambda_scan_memory_is_tile_bounded():
+    # O(tile + Q): a few tile-sized arrays plus the codes, far below the
+    # 36 MB that one float64 row per pair of a 3000-point stream would take
+    assert traced_peak(lam=0.3) < 16 * 2**20
+
+
+def test_refit_memory_is_tile_bounded():
+    # the refit's per-level extremes pass has the scan's footprint
+    assert traced_peak() < 16 * 2**20
