@@ -14,11 +14,12 @@ Gram values only screen: cancellation leaves them within
 the largest point norm; the dot-product forward-error bound through the
 sqrt, with room to spare). Each consumer recomputes literally the entries
 within twice the margin of what it decides on (a maximum, a threshold, a
-histogram edge, a per-Hamming-level distance extreme, a k-th neighbor), so
-results are bit-identical to a literal pass. :func:`map_tiles` deals tiles
-to ``n_threads`` threads; the GEMMs and large ufuncs release the GIL, so
-threads pay off once a pass spans many tiles (1.5-1.9x with 2 threads at
-Q = 10^4, nothing at Q = 2000; 2 cores, one BLAS thread).
+per-Hamming-level distance extreme, a k-th neighbor), so results are
+bit-identical to a literal pass. :func:`map_tiles` deals tiles to
+``n_threads`` threads; the GEMMs and large ufuncs release the GIL, so
+threads pay off once a pass spans many tiles: 2 threads run
+``metrics.max_distortion`` 1.7-1.9x faster at Q = 10^4 and 1.0-1.5x at
+Q = 2000 (N = 100, M = 16; 2 cores, one BLAS thread).
 
 Everything here is stateless and thread-safe. Solver arithmetic is float64
 throughout; binary codes are bit-packed and compared with XOR + popcount.

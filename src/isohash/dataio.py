@@ -168,8 +168,8 @@ def load_csv(path) -> Dataset:
                 vals = [float(f) for f in fields]
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            if any(math.isnan(v) for v in vals):
-                raise DataFormatError(f"{path}: NaN value at line {lineno}")
+            if not all(math.isfinite(v) for v in vals):
+                raise DataFormatError(f"{path}: non-finite value at line {lineno}")
             rows.append(vals)
     if len(rows) < 2:
         raise DataFormatError(f"{path}: need at least 2 data rows, got {len(rows)}")

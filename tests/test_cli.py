@@ -78,6 +78,15 @@ class TestTrain:
         assert res.returncode == 3
         assert "nope.ds" in res.stderr
 
+    def test_non_finite_csv_exits_3(self, tmp_path):
+        csv = tmp_path / "pts.csv"
+        csv.write_text("0.0,1.0\n1.0,inf\n2.0,0.5\n")
+        res = run_cli("train", "--data", str(csv), "--algo", "lsh", "--bits", "4",
+                      "--out", str(tmp_path / "m.model"), cwd=tmp_path)
+        assert res.returncode == 3
+        assert "non-finite value at line 2" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_conflicting_flags_usage_error(self, dataset_file, tmp_path):
         res = run_cli(
             "train", "--data", str(dataset_file), "--algo", "nibh",
@@ -93,8 +102,13 @@ class TestTrain:
         assert res.returncode == 2
 
     def test_bad_flag_values_usage_error(self, dataset_file, tmp_path):
+        cg = ["--algo", "nibh-cg"]
         for flags in (["--secants", "foo"], ["--secants", "sample:abc"],
-                      ["--secants", "sample:0"], ["--bits", "0"]):
+                      ["--secants", "sample:0"], ["--bits", "0"],
+                      ["--max-iters", "0"], ["--alpha-growth", "1.0"],
+                      ["--rho", "0"], ["--tol", "-1"],
+                      [*cg, "--init-sample", "0"], [*cg, "--init-sample", "-5"],
+                      [*cg, "--violator-batch", "0"], [*cg, "--max-gens", "0"]):
             args = ["train", "--data", str(dataset_file), "--algo", "nibh",
                     "--bits", "4", "--max-iters", "2",
                     "--out", str(tmp_path / "m.model"), *flags]

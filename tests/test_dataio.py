@@ -145,6 +145,13 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_inf_rejected_with_line(self, tmp_path, value):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1.0,2.0\n{value},3.0\n5.0,6.0\n")
+        with pytest.raises(DataFormatError, match="non-finite value at line 2"):
+            load_csv(p)
+
     def test_ragged_rejected_with_line(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("1.0,2.0\n3.0\n")

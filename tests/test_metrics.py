@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from isohash.core import Dataset, HashModel, SecantBatch, hash_matrix, random_projection_matrix
+from isohash import metrics
+from isohash.core import (Dataset, HashModel, SecantBatch, hash_matrix, map_tiles,
+                          random_projection_matrix)
 from isohash.dataio import gen_translating_squares
 from isohash.metrics import (
     fit_lambda_chebyshev,
@@ -101,10 +103,6 @@ class TestMaxDistortion:
         worst = rep.worst_secant
         dh = int(np.abs(bits[worst.i] - bits[worst.j]).sum())
         assert abs(rep.lambda_star * dh - worst.c) == pytest.approx(rep.delta, rel=1e-12)
-        # histogram accounts for every pair and tops out at delta's bucket
-        assert rep.histogram_counts.sum() == rep.pair_count
-        top = np.nonzero(rep.histogram_counts)[0][-1]
-        assert rep.histogram_edges[top] <= rep.delta <= rep.histogram_edges[top + 1]
 
     def test_fixed_lambda_mode(self):
         rng = np.random.default_rng(22)
@@ -148,7 +146,21 @@ class TestMaxDistortion:
         b = max_distortion(model, data, n_threads=3)
         assert a.delta == b.delta
         assert a.worst_secant == b.worst_secant
-        np.testing.assert_array_equal(a.histogram_counts, b.histogram_counts)
+        assert a.lambda_star == b.lambda_star
+
+    @pytest.mark.parametrize("lam", [None, 0.7])
+    def test_one_tile_pass(self, monkeypatch, lam):
+        passes = []
+
+        def counted(fn, q, n_threads=1):
+            passes.append(q)
+            return map_tiles(fn, q, n_threads)
+
+        monkeypatch.setattr(metrics, "map_tiles", counted)
+        data = Dataset(np.random.default_rng(27).standard_normal((40, 5)))
+        max_distortion(make_model(random_projection_matrix(6, 5, 7)), data,
+                       lam=lam, n_threads=2)
+        assert passes == [40]
 
     def test_test_data_pathway(self):
         # a model trained elsewhere evaluates on any dataset of matching width

@@ -15,7 +15,7 @@ from isohash import core
 from isohash.colgen import scan_violators
 from isohash.core import Dataset, HashModel, hash_matrix, row_tiles
 from isohash.metrics import (
-    _level_extremes,
+    _level_candidates,
     kendall_tau_at_k,
     map_at_k,
     max_distortion,
@@ -82,8 +82,10 @@ class TestGramCancellation:
 
     @staticmethod
     def lam_on_edge(pts, bits):
-        """A scale that puts the residual c - lam d_H of pair (2, 0) on a
-        histogram edge, so its near-duplicates (1, 0) and (3, 0) straddle it."""
+        """A scale that sets the residual c - lam d_H of pair (2, 0) to a
+        whole multiple of 2 max |x| / 64. Its near-duplicates (1, 0) and
+        (3, 0) lie ~1e-7 from it, well inside the screen's margin, so the
+        screen keeps all three and only the literal distances decide."""
         if len(pts) < 4 or not np.any(bits[2] != bits[0]):
             return None
         h = int(np.abs(bits[2] - bits[0]).sum())
@@ -100,17 +102,15 @@ class TestGramCancellation:
             for n_threads in (1, 3):
                 rep = max_distortion(model, data, lam=fixed, n_threads=n_threads)
                 assert rep.lambda_star == (lam if fixed is None else fixed)
-                delta, worst, counts = oracles.literal_row_scan(
-                    pts, bits, rep.lambda_star, rep.histogram_edges)
+                delta, worst = oracles.literal_row_scan(pts, bits, rep.lambda_star)
                 assert rep.delta == delta
                 assert (rep.worst_secant.i, rep.worst_secant.j) == worst
-                np.testing.assert_array_equal(rep.histogram_counts, counts)
 
     def test_level_extremes_match_literal(self, q, small_tiles):
         pts, data, model, bits = self.make(q)
         lo, hi = oracles.literal_level_extremes(pts, bits)
-        for n_threads in (1, 3):
-            got = _level_extremes(hash_matrix(model.w, pts), pts, n_threads)
+        for lam, n_threads in [(None, 1), (None, 3), (0.5, 1), (0.5, 3)]:
+            got = _level_candidates(hash_matrix(model.w, pts), pts, lam, n_threads)
             np.testing.assert_array_equal(got[0], lo)
             np.testing.assert_array_equal(got[1], hi)
 
@@ -162,9 +162,25 @@ def test_full_size_tile_boundary(q):
     model = model_for(pts, seed=4)
     bits = hash_matrix(model.w, pts).unpack()
     rep = max_distortion(model, Dataset(pts), lam=0.25, n_threads=2)
-    delta, worst, counts = oracles.literal_row_scan(pts, bits, 0.25, rep.histogram_edges)
+    delta, worst = oracles.literal_row_scan(pts, bits, 0.25)
     assert (rep.delta, (rep.worst_secant.i, rep.worst_secant.j)) == (delta, worst)
-    np.testing.assert_array_equal(rep.histogram_counts, counts)
+
+
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_rounded_tie_off_the_level_extremes(n_threads, monkeypatch):
+    # at lam = 4 the level-1 pairs (1, 0) and (2, 0) both have residual 3.0
+    # after rounding; (2, 0) holds the level's smallest distance, but (1, 0)
+    # comes first in the stream. One row per tile puts them in different
+    # workers.
+    monkeypatch.setattr(core, "TILE_PAIRS", 4)
+    pts = np.array([[0.0, 0.0], [1.0 + 2.0**-52, 0.0], [1.0, 0.0],
+                    [1.0 + 2.0**-50, 0.0]])
+    model = HashModel(w=np.array([[-1.0, 0.0]]), lam=1.0, alpha=1.0,
+                      mean=np.zeros(2), normalized=False)
+    rep = max_distortion(model, Dataset(pts), lam=4.0, n_threads=n_threads)
+    assert (rep.delta, (rep.worst_secant.i, rep.worst_secant.j)) == (3.0, (1, 0))
+    bits = hash_matrix(model.w, pts).unpack()
+    assert oracles.literal_row_scan(pts, bits, 4.0) == (3.0, (1, 0))
 
 
 def traced_peak(**kw):
