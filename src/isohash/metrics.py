@@ -7,11 +7,12 @@ literal distance and the pairs that can tie with them
 (:func:`_level_candidates`). lambda* is the Chebyshev fit over those
 extremes; delta and the worst secant come from the kept pairs; all three
 equal a literal scan's, bit for bit. With 2 threads the pass at Q = 10^4
-takes 0.59 s instead of 0.99 s (refit) and 0.57 s instead of 1.06 s (fixed
-lambda); at Q = 2000 (about 0.05 s) the gain ranges from nothing to 1.5x
+takes 0.55 s instead of 1.02 s (refit) and 0.59 s instead of 1.06 s (fixed
+lambda); at Q = 2000 (about 0.053 s) the gain ranges from nothing to 1.6x
 from run to run (N = 100, M = 16; 2 cores, one BLAS thread). The neighbor
-metrics take query blocks as tiles (:func:`core.query_neighbors`), ranked
-by :func:`core.ranked_neighbors`.
+metrics rank their queries a block at a time, one tile per block
+(:func:`core.query_neighbors`), and compare rankings through integer keys
+d_H Q + j (:func:`core.hamming_kth`).
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from .core import (
     SecantBatch,
     SecantRef,
     decode_pair_indices,
+    hamming_kth,
     hamming_pairs,
     hash_codes,
     map_tiles,
     pair_distances,
     pair_linear_index,
     query_neighbors,
-    ranked_neighbors,
     sample_pair_indices,  # unused; perfbench/tracing.py times it as fit_sample
     secant_count,
 )
@@ -196,6 +197,8 @@ def max_distortion(
     ambient distance, in one tile pass (:func:`_level_candidates`) whose
     lambda*, delta and worst secant are those of a literal scan.
     """
+    if secants is not None and len(secants) == 0:
+        raise ValueError("the secant set is empty: no pair to measure distortion on")
     codes = hash_codes(model, data)
 
     if secants is not None:
@@ -259,7 +262,7 @@ def _level_candidates(codes: BinaryCodes, points: np.ndarray,
         for t0, t1 in tile_list:
             c = tiles.ambient(slice(t0, t1), slice(0, t1))
             c = tiles.off_stream(c, t0, np.nan).ravel()
-            h = tiles.hamming(slice(t0, t1), slice(0, t1)).astype(np.intp).ravel()
+            h = tiles.hamming(slice(t0, t1), slice(0, t1)).ravel()
             # the entries that could fall within w of a running extreme
             # (never a NaN) ...
             idx = np.flatnonzero((c <= (lo + pad)[h]) | (c >= (hi - pad)[h]))
@@ -326,6 +329,11 @@ def _check_queries(data: Dataset, queries, k: int, k_min: int = 1):
     return queries
 
 
+def _hamming_keys(h: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Keys h[r, j] Q + j of the points j in cols[r] (see :func:`core.hamming_kth`)."""
+    return h[np.arange(len(cols))[:, None], cols].astype(np.int64) * h.shape[1] + cols
+
+
 def map_at_k(
     model: HashModel,
     data: Dataset,
@@ -339,11 +347,12 @@ def map_at_k(
     """
     queries = _check_queries(data, queries, k)
     codes = hash_codes(model, data)
-    ap = np.empty(queries.size, dtype=np.float64)
-    rows = query_neighbors(data.points, codes, queries, k)
-    for qi, (q, ambient, _, h) in enumerate(rows):
-        hamming = ranked_neighbors(h, q, k)
-        ap[qi] = np.intersect1d(ambient, hamming).size / k
+    hits = []
+    for block, ambient, _, h in query_neighbors(data.points, codes, queries, k):
+        # an ambient neighbor is a Hamming one when its key is within the k-th
+        kth = hamming_kth(h, block, k)
+        hits.append((_hamming_keys(h, ambient) <= kth[:, None]).sum(axis=1))
+    ap = np.concatenate(hits) / k
     return NeighborReport(k=k, map=float(ap.mean()), per_query_ap=ap)
 
 
@@ -357,16 +366,15 @@ def kendall_tau_at_k(
     ambient k-NN set (ties resolved by ascending index before counting)."""
     queries = _check_queries(data, queries, k, k_min=2)
     codes = hash_codes(model, data)
-    taus = np.empty(queries.size, dtype=np.float64)
     upper = np.triu_indices(k, 1)
-    rows = query_neighbors(data.points, codes, queries, k)
-    for qi, (_, members, _, h) in enumerate(rows):  # members in ambient order
-        # rank of each member in the Hamming ordering (ties by index)
-        rank = np.empty(k, dtype=np.int64)
-        rank[np.lexsort((members, h[members]))] = np.arange(k)
-        # +1 per concordant pair a < b, -1 per discordant one
-        concordant = int(np.sign(rank[upper[1]] - rank[upper[0]]).sum())
-        taus[qi] = concordant / len(upper[0])
+    concordant = []
+    for block, members, _, h in query_neighbors(data.points, codes, queries, k):
+        # members in ambient order; the distinct keys h Q + j order them by
+        # Hamming distance, ties by index: +1 per concordant pair a < b, -1
+        # per discordant one
+        keys = _hamming_keys(h, members)
+        concordant.append(np.sign(keys[:, upper[1]] - keys[:, upper[0]]).sum(axis=1))
+    taus = np.concatenate(concordant) / len(upper[0])
     return NeighborReport(k=k, mean_tau=float(taus.mean()), per_query_tau=taus)
 
 

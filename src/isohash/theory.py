@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Dataset, HashModel, hash_codes, query_neighbors, ranked_neighbors,
-                   sigmoid)
+from .core import Dataset, HashModel, hamming_kth, hash_codes, query_neighbors, sigmoid
 from .metrics import _check_queries, max_distortion
 
 __all__ = [
@@ -90,37 +89,37 @@ def lemma1_empirical(alpha: float, sigma: float, n_samples: int = 10**6,
 
 
 def knn_sufficiency_check(model: HashModel, data: Dataset, queries=None,
-                          k: int = 5) -> GapReport:
+                          k: int = 5, n_threads: int = 1) -> GapReport:
     """Verify the deterministic kernel of the neighbor-preservation
     guarantee on a trained model.
 
     delta is the fixed-scale distortion max |lambda d_H - d| over all pairs
-    (lambda from the model). For each query the gap is the margin between
-    its k-th and (k+1)-th nearest ambient distances; whenever that gap
-    reaches 2 * delta, the triangle inequality forces every ambient k-NN to
-    sit within the Hamming k-NN radius, so any violation is a bug (or a
-    broken model) rather than bad luck.
+    (lambda from the model), scanned with ``n_threads`` threads. For each
+    query the gap is the margin between its k-th and (k+1)-th nearest
+    ambient distances; whenever that gap reaches 2 * delta, the triangle
+    inequality forces every ambient k-NN to sit within the Hamming k-NN
+    radius, so any violation is a bug (or a broken model) rather than bad
+    luck. Queries are checked a block at a time.
     """
     queries = _check_queries(data, queries, k)
-    delta = max_distortion(model, data, lam=model.lam).delta
+    delta = max_distortion(model, data, lam=model.lam, n_threads=n_threads).delta
     codes = hash_codes(model, data)
 
-    gaps = np.empty(queries.size)
-    satisfied = []
-    preserved = []
-    rows = query_neighbors(data.points, codes, queries, k + 1)
-    for qi, (q0, nearest, c, h) in enumerate(rows):
-        gaps[qi] = float(c[k] - c[k - 1])
-        if gaps[qi] >= 2.0 * delta:
-            # lambda > 0 scales every Hamming distance alike, so the
-            # Hamming k-NN radius can be read off the integer distances
-            kth_value = h[ranked_neighbors(h, q0, k)[-1]]
-            satisfied.append(q0)
-            preserved.append(bool(np.all(h[nearest[:k]] <= kth_value)))
+    gaps, satisfied, preserved = [], [], []
+    for block, nearest, c, h in query_neighbors(data.points, codes, queries, k + 1):
+        gap = c[:, k] - c[:, k - 1]
+        sat = np.flatnonzero(gap >= 2.0 * delta)
+        # lambda > 0 scales every Hamming distance alike, so the Hamming
+        # k-NN radius can be read off the integer distances
+        radius = hamming_kth(h[sat], block[sat], k) // data.q
+        within = h[sat[:, None], nearest[sat, :k]] <= radius[:, None]
+        gaps.append(gap)
+        satisfied.append(block[sat])
+        preserved.append(np.all(within, axis=1))
     return GapReport(
         k=k,
-        per_query_gap=gaps,
+        per_query_gap=np.concatenate(gaps),
         delta=delta,
-        satisfied_queries=np.array(satisfied, dtype=np.int64),
-        preserved=np.array(preserved, dtype=bool),
+        satisfied_queries=np.concatenate(satisfied),
+        preserved=np.concatenate(preserved),
     )

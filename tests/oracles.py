@@ -160,6 +160,25 @@ def brute_tau(points, bits, queries, k):
     return out
 
 
+def brute_knn(points, bits, queries, k, delta):
+    """Per-query (gaps, satisfied queries, preserved) of the kNN sufficiency
+    check at a given delta: the gap between the k-th and (k+1)-th literal
+    row norms, and for each query whose gap reaches 2 delta whether every
+    ambient k-NN sits within its Hamming k-NN radius."""
+    pts = np.asarray(points, dtype=np.float64)
+    dh = hamming_dense(bits)
+    gaps, satisfied, preserved = [], [], []
+    for qi in queries:
+        d = np.linalg.norm(pts - pts[qi], axis=1)  # literal row norms
+        order = _neighbors_sorted(list(d), qi, k + 1)
+        gaps.append(d[order[k]] - d[order[k - 1]])
+        if gaps[-1] >= 2.0 * delta:
+            radius = dh[qi, _neighbors_sorted(list(dh[qi]), qi, k)[-1]]
+            satisfied.append(qi)
+            preserved.append(all(dh[qi, t] <= radius for t in order[:k]))
+    return gaps, satisfied, preserved
+
+
 def sample_pair_indices_unique(total, k, rng):
     """The rejection sampler of k distinct indices in [0, total), deduplicated
     with np.unique after every draw; same rng calls as the library's."""

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import isohash
-from isohash.dataio import gen_random_dataset, load_model, save_binary
+from isohash import cli, metrics
+from isohash.baselines import lsh_model
+from isohash.core import map_tiles
+from isohash.dataio import gen_random_dataset, load_any, load_model, save_binary, save_model
 
 PACKAGE_ROOT = str(Path(isohash.__file__).resolve().parent.parent)
 
@@ -282,6 +285,26 @@ class TestCheck:
         doc = json.loads(res.stdout)
         assert doc["passed"] is True
         assert len(doc["gaps"]) == 60
+
+    def test_knn_threads_reach_the_scan(self, dataset_file, tmp_path, monkeypatch,
+                                        capsys):
+        model = tmp_path / "m.model"
+        save_model(lsh_model(10, 16, 3, data=load_any(dataset_file)), model)
+        threads = []
+
+        def spy(fn, q, n_threads=1):
+            threads.append(n_threads)
+            return map_tiles(fn, q, n_threads)
+
+        monkeypatch.setattr(metrics, "map_tiles", spy)
+        monkeypatch.chdir(tmp_path)  # the manifest goes to the working directory
+        docs = []
+        for n in ("1", "2"):
+            assert cli.main(["--threads", n, "check", "knn", "--model", str(model),
+                             "--data", str(dataset_file), "--k", "4"]) == 0
+            docs.append(capsys.readouterr().out)
+        assert docs[0] == docs[1] and json.loads(docs[0])["passed"] is True
+        assert threads == [1, 2]
 
     def test_knn_k_too_large_usage_error(self, dataset_file, tmp_path):
         out = tmp_path / "m.model"

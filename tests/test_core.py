@@ -12,6 +12,7 @@ from isohash.core import (
     SecantRef,
     decode_pair_indices,
     hamming_pairs,
+    query_neighbors,
     hash_matrix,
     map_tiles,
     pair_distances,
@@ -24,7 +25,7 @@ from isohash.core import (
     sigmoid,
 )
 
-from oracles import sample_pair_indices_unique
+from oracles import hamming_dense, sample_pair_indices_unique
 
 
 def lexicographic_pairs(q):
@@ -319,6 +320,35 @@ class TestRowWalk:
         for n_threads in (1, 2, 3, 5):
             parts = map_tiles(lambda part: part, q, n_threads)
             assert parts == [tiles[w::n_threads] for w in range(n_threads)]
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 130, 300])
+def test_popcount_tiles_match_dense_hamming(m, monkeypatch):
+    # one to 38 code bytes, with zero padding bits unless 8 divides M; at
+    # M = 300 distances pass 255
+    rng = np.random.default_rng(m)
+    bits = rng.integers(0, 2, (23, m))
+    bits[3], bits[4] = 1, 0  # at distance M
+    pts = rng.standard_normal((23, 4))
+    codes = BinaryCodes.from_bits(bits)
+    tiles = PairTiles(pts, codes)
+    dense = hamming_dense(bits)
+    monkeypatch.setattr(core, "TILE_PAIRS", 60)
+    for lo, hi in row_tiles(23):
+        h = tiles.hamming(slice(lo, hi), slice(0, hi))
+        assert np.issubdtype(h.dtype, np.integer)
+        np.testing.assert_array_equal(h, dense[lo:hi, :hi])
+        # an integer scale must not wrap the integer tile around
+        r = tiles.residuals(lo, hi, 2)
+        exact = [tiles.exact_residuals(np.full(i, i), np.arange(i), 2) for i in range(lo, hi)]
+        for a, row in enumerate(exact):
+            assert np.abs(r[a, :lo + a] - row).max(initial=0.0) <= tiles.margin(2.0)
+    queries = np.array([22, 4, 0, 4, 3, 17, 9])  # unsorted, repeated: 2 per block
+    blocks = list(query_neighbors(pts, codes, queries, 2))
+    assert len(blocks) == 4
+    for block, _, _, h in blocks:
+        assert np.issubdtype(h.dtype, np.integer)
+        np.testing.assert_array_equal(h, dense[block])
 
 
 class TestSamplePairs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from isohash import metrics
+from isohash import core, metrics
 from isohash.core import (Dataset, HashModel, SecantBatch, hash_matrix, map_tiles,
                           random_projection_matrix)
 from isohash.dataio import gen_translating_squares
@@ -136,6 +136,13 @@ class TestMaxDistortion:
         )
         assert rep.delta == pytest.approx(expect, rel=1e-12)
         assert rep.pair_count == 3
+
+    @pytest.mark.parametrize("lam", [None, 0.7])
+    def test_empty_secant_set_rejected(self, lam):
+        data = Dataset(np.random.default_rng(28).standard_normal((5, 3)))
+        model = make_model(random_projection_matrix(4, 3, 8))
+        with pytest.raises(ValueError, match="secant set is empty"):
+            max_distortion(model, data, secants=SecantBatch([], [], []), lam=lam)
 
     def test_threaded_scan_matches_serial(self):
         rng = np.random.default_rng(24)
@@ -301,6 +308,26 @@ class TestExactAmbientTies:
             d = [float(np.linalg.norm(self.pts[t] - self.pts[q])) for t in range(36)]
             order = [t for t in sorted(range(36), key=lambda t: (d[t], t)) if t != q]
             assert rep.per_query_gap[q] == d[order[k]] - d[order[k - 1]]
+
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_query_blocks_in_any_order(self, k, monkeypatch):
+        # three queries per block: the unsorted queries, with repeats, span
+        # three blocks
+        monkeypatch.setattr(core, "TILE_PAIRS", 3 * 36)
+        queries = [35, 0, 17, 0, 35, 9, 10, 11, 2]
+        rep = map_at_k(self.model, self.data, queries, k=k)
+        np.testing.assert_array_equal(
+            rep.per_query_ap, oracles.brute_map(self.pts, self.bits, queries, k))
+        rep = kendall_tau_at_k(self.model, self.data, queries, k=k)
+        np.testing.assert_array_equal(
+            rep.per_query_tau, oracles.brute_tau(self.pts, self.bits, queries, k))
+        rep = knn_sufficiency_check(self.model, self.data, queries, k=k)
+        gaps, satisfied, preserved = oracles.brute_knn(self.pts, self.bits, queries, k,
+                                                       rep.delta)
+        np.testing.assert_array_equal(rep.per_query_gap, gaps)
+        np.testing.assert_array_equal(rep.satisfied_queries, satisfied)
+        np.testing.assert_array_equal(rep.preserved, preserved)
 
 
 class TestReportJson:

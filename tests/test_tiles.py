@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import oracles
-from isohash import core
+from isohash import core, theory
 from isohash.colgen import scan_violators
 from isohash.core import Dataset, HashModel, hash_matrix, row_tiles
+from isohash.metrics import DistortionReport
 from isohash.metrics import (
     _level_candidates,
     kendall_tau_at_k,
@@ -152,6 +153,38 @@ class TestGramCancellation:
                 order = [t for t in sorted(range(q), key=lambda t: (d[t], t))
                          if t != query]
                 assert rep.per_query_gap[query] == d[order[k]] - d[order[k - 1]]
+
+
+    def test_query_blocks_in_any_order_match_oracles(self, q, small_tiles, monkeypatch):
+        # unsorted, with repeats, over blocks of 64 // q queries: at Q = 18
+        # and 20 a block holds 3 queries, so the list spans several blocks
+        pts, data, model, bits = self.make(q)
+        queries = [t % q for t in (q - 1, 2, 0, 2, q - 1, 1, 3, 3, q // 2)]
+        for k in (1, 2):
+            if k > q - 2:
+                continue
+            rep = map_at_k(model, data, queries, k=k)
+            np.testing.assert_array_equal(rep.per_query_ap,
+                                          oracles.brute_map(pts, bits, queries, k))
+            if k >= 2:
+                rep = kendall_tau_at_k(model, data, queries, k=k)
+                np.testing.assert_array_equal(
+                    rep.per_query_tau, oracles.brute_tau(pts, bits, queries, k))
+            assert_knn_matches(model, data, bits, queries, k)
+            # at delta = 0 every query is judged, and its preserved flag
+            # compared with the oracle's
+            with monkeypatch.context() as mp:
+                mp.setattr(theory, "max_distortion", lambda *a, **kw: DistortionReport(
+                    0.0, 1.0, None, 0))
+                assert_knn_matches(model, data, bits, queries, k)
+
+
+def assert_knn_matches(model, data, bits, queries, k):
+    rep = knn_sufficiency_check(model, data, queries, k=k)
+    gaps, satisfied, preserved = oracles.brute_knn(data.points, bits, queries, k, rep.delta)
+    np.testing.assert_array_equal(rep.per_query_gap, gaps)
+    np.testing.assert_array_equal(rep.satisfied_queries, np.array(satisfied, dtype=np.int64))
+    np.testing.assert_array_equal(rep.preserved, np.array(preserved, dtype=bool))
 
 
 @pytest.mark.parametrize("q", [512, 513])
