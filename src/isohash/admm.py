@@ -14,7 +14,7 @@ geometrically from alpha_start to alpha_end (continuation):
     v_k = G_ii + G_jj - 2 G_ij, and P = diag(R 1 + R^T 1) S - (R + R^T) S
     with R the Q x Q sum of the residuals at (i_k, j_k); no |S| x M array,
   - incidence, for smaller sets: the sparse |S| x Q pair-incidence matrix B
-    (+1 at i_k, -1 at j_k), v = rowsum((B S)^2) and P = B^T (r * B S),
+    (+1 at i_k, -1 at j_k), v = rowsum((B S)^2) and P = (B^T diag(r)) (B S),
     whose values equal the per-pair gather. Column generation's restricted
     sets stay here, and so does its delta, which moves with the last bits
     of the gradient,
@@ -80,7 +80,19 @@ class SolverConfig:
     alpha_end: float = 10.0
     alpha_growth: float = 1.25
     max_outer_iters: int = 100
-    inner_gd_iters: int = 50
+    # AGD steps per W-step. The solve is inexact by design (inexact ADMM,
+    # Eckstein and Bertsekas 1992), and train_nibh returns its best-delta
+    # iterate. Chosen on delta and time, medians over seeds 1-20 (2 cores,
+    # one BLAS thread): training s / refit all-pairs delta for the nibh_cg
+    # (Q=280, column generation) and nibh_allpairs (translating squares,
+    # Q=144) set-ups of perfbench/bench.py:
+    #   budget  nibh_cg        nibh_allpairs
+    #     50    3.60 / 1.237   0.60 / 1.078
+    #     20    1.42 / 1.237   0.27 / 1.029
+    #     15    1.22 / 1.227   0.19 / 0.971
+    #     12    0.88 / 1.239   0.17 / 0.944
+    #     10    0.76 / 1.215   0.17 / 1.030
+    inner_gd_iters: int = 12
     inner_gd_tol: float = 1e-9
     convergence_tol: float = 1e-5
     lambda_min: float = 1e-8
@@ -112,6 +124,7 @@ class SolverState:
     alpha: float
     iteration: int = 0
     loss_history: list = field(default_factory=list)  # (iter, sup_loss, delta)
+    best_iteration: int = 0  # the iterate train_nibh returned as its model
     converged: bool = False
     diverged: bool = False
     distance_convention: str = "unsquared-l2"
@@ -140,6 +153,10 @@ class _IncidencePairs:
              np.arange(0, 2 * k + 1, 2)),
             shape=(k, q),
         )
+        # B^T in CSR, each point's secants in ascending order; ``scatter``
+        # refills its values with the signed residuals
+        self.bt = self.b.T.tocsr()
+        self.sign = self.bt.data.copy()
 
     def dists(self, s):
         """Relaxed distances v, and the differences B S that ``scatter``
@@ -148,8 +165,11 @@ class _IncidencePairs:
         return np.einsum("ij,ij->i", d, d), d
 
     def scatter(self, s, r, d):
-        """P = B^T (r * B S): per point, the sum of its signed pair terms."""
-        return self.b.T @ (r[:, None] * d)
+        """P = B^T (r * B S) as (B^T diag(r)) (B S): per point, the sum of
+        its signed pair terms in secant order, and (+-r) d = +-(r d)
+        exactly, so P equals the per-pair product bit for bit."""
+        np.multiply(self.sign, r[self.bt.indices], out=self.bt.data)
+        return self.bt @ d
 
 
 class _GramPairs:
@@ -252,12 +272,14 @@ def _agd(f_grad, f_only, w0, iters, tol):
 
 
 def w_step(state: SolverState, secants: SecantBatch, data: Dataset,
-           config: SolverConfig) -> np.ndarray:
+           config: SolverConfig, layout=None) -> np.ndarray:
     """Approximately minimize the quadratic penalty over W with u, y, lambda,
-    alpha held fixed; never returns a worse W than it was given."""
+    alpha held fixed; never returns a worse W than it was given. ``layout``
+    is a pair layout of ``secants``, built here when not given."""
     pts = data.points
-    args = (pts, secants, _pair_layout(secants, data.q), state.u, state.y,
-            state.lam, state.alpha)
+    if layout is None:
+        layout = _pair_layout(secants, data.q)
+    args = (pts, secants, layout, state.u, state.y, state.lam, state.alpha)
 
     def f_grad(w):
         return _w_loss_grad(w, *args, want_grad=True)
@@ -361,9 +383,13 @@ def train_nibh(
     solve. ``progress`` receives one record per iteration (a callable taking
     a dict, or a file-like that gets JSON lines).
 
-    Returns the trained model (built with the final lambda and the alpha of
-    the last iteration) and the solver state. ``converged`` is set only by
-    the stop test, which runs once alpha has reached alpha_end. loss_history
+    Returns the trained model and the solver state. The model is the
+    iterate with the lowest delta in loss_history (the later one on a tie),
+    with that iterate's W, lambda and alpha; ``state.best_iteration`` names
+    it. A diverged solve instead returns the iterate with the lowest
+    sup_loss, as its state does. The rest of the state, ``converged``
+    included, describes the last iterate; ``converged`` is set only by the
+    stop test, which runs once alpha has reached alpha_end. loss_history
     rows are (iteration, sup_loss, delta): sup_loss is ||lambda v - c||_inf
     at the solver's lambda, delta the scale-fitted distortion of the
     quantized codes over the training secants (identical to what
@@ -415,13 +441,14 @@ def train_nibh(
     aug_prev = None
     loss_min = math.inf
     above_min_streak = 0
-    best = (math.inf, state.w, state.lam)
+    best = (math.inf, state.w, state.lam, 0)  # lowest sup loss: divergence fallback
+    kept = (math.inf, state.w, state.lam, state.alpha, 0)  # lowest delta: returned
 
     for it in range(1, config.max_outer_iters + 1):
         if it > 1:
             state.alpha = min(state.alpha * config.alpha_growth, config.alpha_end)
         state.iteration = it
-        state.w = w_step(state, secants, data, config)
+        state.w = w_step(state, secants, data, config, layout)
         v = relaxed_dists(state.w, state.alpha)
         state.u = u_step(state.lam * v - c - state.y, config.rho)
         if fixed_lambda is None:
@@ -437,16 +464,19 @@ def train_nibh(
             "alpha": state.alpha, "lambda": state.lam,
         })
 
+        if delta <= kept[0]:  # ties go to the later iterate
+            kept = (delta, state.w, state.lam, state.alpha, it)
         if sup_loss < best[0]:
-            best = (sup_loss, state.w, state.lam)
+            best = (sup_loss, state.w, state.lam, it)
         loss_min = min(loss_min, sup_loss)
         above_min_streak = above_min_streak + 1 \
             if sup_loss > _DIVERGENCE_FACTOR * loss_min else 0
         if above_min_streak >= _DIVERGENCE_PATIENCE:
             state.diverged = True
-            _, state.w, state.lam = best
+            _, state.w, state.lam, best_it = best
             delta = _quantized_delta(state.w, pts, i_idx, j_idx, c)
             state.loss_history.append((it + 1, best[0], delta))
+            kept = (delta, state.w, state.lam, state.alpha, best_it)
             break
 
         # the stop test compares two iterations at the final rate only, so
@@ -459,8 +489,7 @@ def train_nibh(
                 break
             aug_prev = aug
 
-    model = HashModel(
-        w=state.w, lam=state.lam, alpha=state.alpha,
-        mean=data.mean, normalized=data.normalized,
-    )
+    _, w, lam, alpha, state.best_iteration = kept
+    model = HashModel(w=w, lam=lam, alpha=alpha,
+                      mean=data.mean, normalized=data.normalized)
     return model, state

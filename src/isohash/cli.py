@@ -196,7 +196,7 @@ def cmd_train(args, parser) -> int:
                                           progress=progress)
             diverged = state.diverged
             report.update({
-                "delta": state.loss_history[-1][2],
+                "delta": state.loss_history[state.best_iteration - 1][2],
                 "lambda": model.lam,
                 "iterations": state.iteration,
                 "converged": state.converged,

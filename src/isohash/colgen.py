@@ -34,6 +34,7 @@ from .core import (
     sample_pair_indices,
     secant_count,
 )
+from .metrics import max_distortion
 
 __all__ = [
     "CgConfig",
@@ -73,7 +74,10 @@ class CgReport:
     lam: float
     violators_found: int
     init_size: int
-    history: list  # per generation: dict(generation, active_size, violators, delta_hat)
+    # per generation g = 0 (the initial solve) .. generations: dict(generation,
+    # active_size, violators_found, delta_hat, full_delta)
+    history: list
+    best_generation: int  # the generation whose model was returned
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +194,14 @@ def train_nibh_cg(
     Solves on an initial random subset, freezes the scale from that solve,
     then repeatedly augments the active set with scanned violators and
     re-solves warm-started from the previous embedding (u, y restart at zero
-    because the secant index set changed). Terminates when a full scan finds
-    no violator or max_generations is exhausted; the report says which.
+    because the secant index set changed). Every generation's solve is
+    scanned, and its refit delta over every pair is measured.
+
+    Terminates when a full scan finds no violator or max_generations is
+    exhausted; ``fully_satisfied`` says which. A clean scan returns the
+    model it scanned. An exhausted budget returns the generation with the
+    lowest refit delta (the later one on a tie), and the report's ``lam``,
+    ``delta_hat`` and ``best_generation`` describe that generation.
     """
     if config is None:
         config = CgConfig()
@@ -201,7 +211,7 @@ def train_nibh_cg(
     lam_hat = None  # fitted by the first solve, frozen for the rest of the run
     history = []
     violators_total = 0
-    fully_satisfied = False
+    best = (math.inf,)  # (full delta, generation, model, delta_hat)
     for gen in range(config.max_generations + 1):
         model, _state = train_nibh(data, secants, m, config.inner, w0=w0,
                                    fixed_lambda=lam_hat)
@@ -212,25 +222,28 @@ def train_nibh_cg(
         delta_hat = float(resid.max())
         active = secants.subset(identify_active(
             resid, delta_hat, config.active_tol, config.active_cap))
-        if gen == config.max_generations:
-            break
+        full_delta = max_distortion(model, data, n_threads=n_threads).delta
 
         violators, scanned_all = scan_violators(
             codes, data, lam_hat, delta_hat, config.violator_batch,
             seed=config.scan_seed + gen + 1, n_threads=n_threads,
         )
+        violators_total += len(violators)
+        # a clean scan certifies the model it scanned, which is kept whatever
+        # its delta; otherwise the lowest delta so far, ties to the later
+        if scanned_all or full_delta <= best[0]:
+            best = (full_delta, gen, model, delta_hat)
         record = {
-            "generation": gen + 1,
+            "generation": gen,
             "active_size": len(active),
             "violators_found": len(violators),
             "delta_hat": delta_hat,
+            "full_delta": full_delta,
         }
         history.append(record)
         _emit(progress, record)
-        if len(violators) == 0:
-            fully_satisfied = scanned_all
+        if scanned_all or gen == config.max_generations:
             break
-        violators_total += len(violators)
 
         secants = _union(active, violators)
         # memory contract: what is resident never beats the sampled start
@@ -239,15 +252,17 @@ def train_nibh_cg(
             "resident secants exceed the column-generation memory contract"
         peak = max(peak, len(secants))
 
+    _, best_gen, model, delta_hat = best
     report = CgReport(
         generations=gen,
         active_size=len(active),
         peak_resident_secants=peak,
-        fully_satisfied=fully_satisfied,
+        fully_satisfied=scanned_all,
         delta_hat=delta_hat,
-        lam=lam_hat,
+        lam=model.lam,
         violators_found=violators_total,
         init_size=init_size,
         history=history,
+        best_generation=best_gen,
     )
     return model, report

@@ -248,6 +248,24 @@ class TestWStep:
         assert layout_for(8, 14) is _GramPairs
         assert layout_for(8, 13) is _IncidencePairs
 
+    @pytest.mark.parametrize("pairs", [
+        [(5, 2), (3, 0), (5, 2), (7, 1), (3, 0), (5, 2), (6, 5)],  # duplicates
+        [(4, 1)],  # one secant
+    ])
+    def test_incidence_scatter_bit_identical(self, pairs):
+        # B^T diag(r) (B S) sums the same secants in the same order as the
+        # per-pair product B^T (r * B S), so no bit may differ
+        rng = np.random.default_rng(61)
+        q, m = 8, 5
+        i, j = np.array(pairs).T
+        layout = _IncidencePairs(SecantBatch(i, j, np.ones(i.size)), q)
+        for _ in range(3):  # the refilled values must not leak across calls
+            s = rng.random((q, m))
+            r = rng.standard_normal(i.size)
+            _, d = layout.dists(s)
+            want = layout.b.T @ (r[:, None] * d)
+            assert np.array_equal(layout.scatter(s, r, d), want)
+
     def test_all_pairs_gradient_memory(self):
         # all 499,500 pairs of Q=1000 with M=16: each |S| x M array would
         # take 61 MiB, the dense layout's Q x Q matrices take 7.6 MiB
@@ -451,6 +469,25 @@ class TestTrainNibh:
         # bookkeeping delta equals the metrics measurement recomputed from scratch
         rep = max_distortion(model, self.data, secants=self.secants)
         assert rep.delta == pytest.approx(state.loss_history[-1][2], abs=1e-12)
+
+    def test_returns_latest_lowest_delta_iterate(self):
+        cfg = SolverConfig(max_outer_iters=10, seed=5)
+        model, state = train_nibh(self.data, self.secants, 5, cfg)
+        deltas = [row[2] for row in state.loss_history]
+        best = len(deltas) - deltas[::-1].index(min(deltas))
+        assert state.best_iteration == best
+        # this solve ends above its best, which it reaches more than once
+        assert deltas[-1] > min(deltas) and deltas.count(min(deltas)) > 1
+        # the first ``best`` iterations of the same solve end at that iterate
+        cut, cut_state = train_nibh(
+            self.data, self.secants, 5,
+            SolverConfig(max_outer_iters=best, seed=5))
+        assert cut_state.iteration == best
+        assert model.w.tobytes() == cut_state.w.tobytes()
+        assert (model.lam, model.alpha) == (cut_state.lam, cut_state.alpha)
+        sec = self.secants
+        assert admm._quantized_delta(model.w, self.data.points, sec.i, sec.j,
+                                     sec.c) == min(deltas)
 
     def test_duplicated_point_zero_secant(self):
         pts = np.vstack([self.data.points[:10], self.data.points[0]])

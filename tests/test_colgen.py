@@ -208,7 +208,7 @@ class TestTrainCg:
         assert len(lines) == len(report.history)
         rec = json.loads(lines[0])
         assert set(rec) == {"generation", "active_size", "violators_found",
-                            "delta_hat"}
+                            "delta_hat", "full_delta"}
 
     def test_lambda_frozen_after_first_solve(self):
         data = preprocess(gen_random_dataset(40, 8, seed=6).points)
@@ -226,6 +226,32 @@ class TestTrainCg:
         model, report = train_nibh_cg(data, 4, cfg)
         assert report.generations == 1
         assert not report.fully_satisfied
+
+    def test_exhausted_budget_returns_best_generation(self):
+        data = preprocess(gen_random_dataset(50, 8, seed=7).points)
+        inner = SolverConfig(max_outer_iters=4, inner_gd_iters=5)
+        cfg = CgConfig(init_sample_size=20, violator_batch=5,
+                       max_generations=5, inner=inner)
+        model, report = train_nibh_cg(data, 4, cfg)
+        assert not report.fully_satisfied
+        full = [rec["full_delta"] for rec in report.history]
+        assert [rec["generation"] for rec in report.history] == \
+            list(range(report.generations + 1))
+        best = len(full) - 1 - full[::-1].index(min(full))
+        assert report.best_generation == best
+        assert max_distortion(model, data).delta == min(full)
+        assert report.delta_hat == report.history[best]["delta_hat"]
+        assert report.lam == model.lam
+
+    def test_clean_scan_returns_scanned_generation(self):
+        # the first sample holds every pair, so the first scan is clean
+        data = preprocess(gen_random_dataset(8, 4, seed=9).points)
+        cfg = small_config(init_sample_size=secant_count(8), max_generations=3)
+        model, report = train_nibh_cg(data, 4, cfg)
+        assert report.fully_satisfied
+        assert report.generations == report.best_generation == 0
+        assert max_distortion(model, data).delta == \
+            report.history[0]["full_delta"]
 
     def test_reproducible(self):
         data = preprocess(gen_random_dataset(40, 8, seed=8).points)
