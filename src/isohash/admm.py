@@ -3,7 +3,8 @@
 Each outer iteration performs four updates while the sigmoid rate grows
 geometrically from alpha_start to alpha_end (continuation):
 
-* W: accelerated gradient descent on the smooth quadratic penalty. With
+* W: accelerated gradient descent on the smooth quadratic penalty, run for
+  a fixed budget of ``inner_gd_iters`` steps (inexact ADMM). With
   S = sigma_alpha(X W^T) (Q x M), the relaxed distances are
   v_k = ||S_i - S_j||^2 and the gradient is -2 lambda (P * alpha S (1 - S))^T X,
   where P (Q x M) scatters the per-pair terms r_k (S_i - S_j) back onto the
@@ -24,7 +25,8 @@ geometrically from alpha_start to alpha_end (continuation):
 * y: the scaled dual ascent step.
 
 The residual convention is r = u - lambda * v(W) + c + y, matching the
-augmented Lagrangian (the +y form).
+augmented Lagrangian (the +y form). Whatever stops the loop, ``train_nibh``
+returns the iterate whose quantized codes have the lowest delta.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ __all__ = [
     "train_nibh",
 ]
 
-# divergence guard: abort after this many consecutive iterations with the
+# divergence guard: stop after this many consecutive iterations with the
 # sup loss above 10x its running minimum
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_PATIENCE = 20
+# floor of the fitted scale lambda, which must stay positive
+_LAMBDA_MIN = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -80,8 +84,9 @@ class SolverConfig:
     alpha_end: float = 10.0
     alpha_growth: float = 1.25
     max_outer_iters: int = 100
-    # AGD steps per W-step. The solve is inexact by design (inexact ADMM,
-    # Eckstein and Bertsekas 1992), and train_nibh returns its best-delta
+    # AGD steps per W-step, always run in full: the solve is inexact by
+    # design (inexact ADMM, Eckstein and Bertsekas 1992), bounded by this
+    # budget rather than a tolerance, and train_nibh returns its best-delta
     # iterate. Chosen on delta and time, medians over seeds 1-20 (2 cores,
     # one BLAS thread): training s / refit all-pairs delta for the nibh_cg
     # (Q=280, column generation) and nibh_allpairs (translating squares,
@@ -93,9 +98,7 @@ class SolverConfig:
     #     12    0.88 / 1.239   0.17 / 0.944
     #     10    0.76 / 1.215   0.17 / 1.030
     inner_gd_iters: int = 12
-    inner_gd_tol: float = 1e-9
     convergence_tol: float = 1e-5
-    lambda_min: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -105,10 +108,8 @@ class SolverConfig:
             raise ValueError("need 0 < alpha_start <= alpha_end")
         if self.alpha_growth <= 1.0:
             raise ValueError("alpha_growth must exceed 1")
-        if min(self.inner_gd_tol, self.convergence_tol) < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.lambda_min <= 0:
-            raise ValueError("lambda_min must be positive")
+        if self.convergence_tol < 0:
+            raise ValueError("convergence_tol must be nonnegative")
         if self.max_outer_iters < 1 or self.inner_gd_iters < 1:
             raise ValueError("iteration budgets must be >= 1")
 
@@ -232,9 +233,10 @@ def _w_loss_grad(w, points, secants, layout, u, y, lam, alpha, want_grad=True):
     return f, grad
 
 
-def _agd(f_grad, f_only, w0, iters, tol):
-    """Nesterov-style accelerated descent with backtracking; returns the best
-    iterate seen, so the objective never increases past the entry point."""
+def _agd(f_grad, f_only, w0, iters):
+    """Nesterov-style accelerated descent with backtracking, for ``iters``
+    steps unless the gradient vanishes; returns the best iterate seen, so
+    the objective never increases past the entry point."""
     x = w0
     yv = w0
     t = 1.0
@@ -265,10 +267,8 @@ def _agd(f_grad, f_only, w0, iters, tol):
         if fx > f_prev:  # momentum overshoot: restart
             t = 1.0
             yv = x
-        if abs(f_prev - fx) <= tol * max(1.0, abs(f_prev)):
-            break
         lip *= 0.7
-    return x_best, f_best
+    return x_best
 
 
 def w_step(state: SolverState, secants: SecantBatch, data: Dataset,
@@ -287,9 +287,7 @@ def w_step(state: SolverState, secants: SecantBatch, data: Dataset,
     def f_only(w):
         return _w_loss_grad(w, *args, want_grad=False)[0]
 
-    w_new, _ = _agd(f_grad, f_only, state.w, config.inner_gd_iters,
-                    config.inner_gd_tol)
-    return w_new
+    return _agd(f_grad, f_only, state.w, config.inner_gd_iters)
 
 
 def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
@@ -383,17 +381,21 @@ def train_nibh(
     solve. ``progress`` receives one record per iteration (a callable taking
     a dict, or a file-like that gets JSON lines).
 
-    Returns the trained model and the solver state. The model is the
-    iterate with the lowest delta in loss_history (the later one on a tie),
-    with that iterate's W, lambda and alpha; ``state.best_iteration`` names
-    it. A diverged solve instead returns the iterate with the lowest
-    sup_loss, as its state does. The rest of the state, ``converged``
-    included, describes the last iterate; ``converged`` is set only by the
-    stop test, which runs once alpha has reached alpha_end. loss_history
-    rows are (iteration, sup_loss, delta): sup_loss is ||lambda v - c||_inf
-    at the solver's lambda, delta the scale-fitted distortion of the
-    quantized codes over the training secants (identical to what
-    metrics.max_distortion reports for them).
+    The solve stops when the stop test passes (``converged``; it runs
+    once alpha has reached alpha_end), when the divergence guard trips
+    (``diverged``: the sup_loss stayed above _DIVERGENCE_FACTOR times its
+    running minimum for _DIVERGENCE_PATIENCE iterations in a row), or after
+    max_outer_iters iterations.
+
+    Returns the trained model and the solver state. Every solve, diverged
+    or not, returns the iterate with the lowest delta in loss_history (the
+    later one on a tie), with that iterate's W, lambda and alpha;
+    ``state.best_iteration`` names it. The rest of the state describes the
+    last iterate. loss_history has one row per iteration run, (iteration,
+    sup_loss, delta): sup_loss is ||lambda v - c||_inf at the solver's
+    lambda, delta the scale-fitted distortion of the quantized codes over
+    the training secants (identical to what metrics.max_distortion reports
+    for them).
     """
     if config is None:
         config = SolverConfig()
@@ -427,7 +429,7 @@ def train_nibh(
     else:
         v0 = relaxed_dists(w, config.alpha_end)
         vv0 = float(v0 @ v0)
-        lam0 = max(config.lambda_min, float(v0 @ c) / vv0) if vv0 > 0 else 1.0
+        lam0 = max(_LAMBDA_MIN, float(v0 @ c) / vv0) if vv0 > 0 else 1.0
 
     n_sec = len(secants)
     state = SolverState(
@@ -441,7 +443,6 @@ def train_nibh(
     aug_prev = None
     loss_min = math.inf
     above_min_streak = 0
-    best = (math.inf, state.w, state.lam, 0)  # lowest sup loss: divergence fallback
     kept = (math.inf, state.w, state.lam, state.alpha, 0)  # lowest delta: returned
 
     for it in range(1, config.max_outer_iters + 1):
@@ -452,8 +453,8 @@ def train_nibh(
         v = relaxed_dists(state.w, state.alpha)
         state.u = u_step(state.lam * v - c - state.y, config.rho)
         if fixed_lambda is None:
-            state.lam = lambda_step(state.u, v, c, state.y,
-                                    config.lambda_min, state.lam)
+            state.lam = lambda_step(state.u, v, c, state.y, _LAMBDA_MIN,
+                                    state.lam)
         state.y = y_step(state.y, state.u, v, c, state.lam, config.eta)
 
         sup_loss = float(np.max(np.abs(state.lam * v - c)))
@@ -466,17 +467,11 @@ def train_nibh(
 
         if delta <= kept[0]:  # ties go to the later iterate
             kept = (delta, state.w, state.lam, state.alpha, it)
-        if sup_loss < best[0]:
-            best = (sup_loss, state.w, state.lam, it)
         loss_min = min(loss_min, sup_loss)
         above_min_streak = above_min_streak + 1 \
             if sup_loss > _DIVERGENCE_FACTOR * loss_min else 0
         if above_min_streak >= _DIVERGENCE_PATIENCE:
             state.diverged = True
-            _, state.w, state.lam, best_it = best
-            delta = _quantized_delta(state.w, pts, i_idx, j_idx, c)
-            state.loss_history.append((it + 1, best[0], delta))
-            kept = (delta, state.w, state.lam, state.alpha, best_it)
             break
 
         # the stop test compares two iterations at the final rate only, so

@@ -30,13 +30,7 @@ import numpy as np
 
 from . import baselines, colgen, dataio, metrics, theory
 from .admm import DivergenceError, SolverConfig, train_nibh
-from .core import (
-    Dataset,
-    SecantBatch,
-    decode_pair_indices,
-    sample_pair_indices,
-    secant_count,
-)
+from .core import Dataset, SecantBatch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,10 +119,7 @@ def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
         return SecantBatch.all_pairs(data.points)
     if spec == "bre":
         return dataio.bre_secant_selection(data)
-    k = int(spec.split(":", 1)[1])
-    rng = np.random.default_rng(seed)
-    t = sample_pair_indices(secant_count(data.q), k, rng)
-    return SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
+    return SecantBatch.sample(data.points, int(spec.split(":", 1)[1]), seed)
 
 
 # ---------------------------------------------------------------------------

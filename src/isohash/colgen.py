@@ -31,7 +31,6 @@ from .core import (
     hash_codes,
     map_tiles,
     pair_linear_index,
-    sample_pair_indices,
     secant_count,
 )
 from .metrics import max_distortion
@@ -39,29 +38,30 @@ from .metrics import max_distortion
 __all__ = [
     "CgConfig",
     "CgReport",
-    "sample_initial_secants",
     "identify_active",
     "scan_violators",
     "train_nibh_cg",
 ]
 
+# a secant stays active when its quantized residual reaches (1 - _ACTIVE_TOL)
+# of delta_hat; at most _ACTIVE_CAP of them, the largest, stay
+_ACTIVE_TOL = 0.02
+_ACTIVE_CAP = 200_000
+
+
 @dataclass
 class CgConfig:
     init_sample_size: int = 5000  # clamped to the pair count
     violator_batch: int = 2000
-    active_tol: float = 0.02  # fraction of delta_hat
     scan_seed: int = 0
     max_generations: int = 20
-    active_cap: int = 200_000
     inner: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.init_sample_size < 1 or self.violator_batch < 1:
             raise ValueError("init_sample_size and violator_batch must be >= 1")
-        if not (0 <= self.active_tol < 1):
-            raise ValueError("active_tol must lie in [0, 1)")
-        if self.max_generations < 1 or self.active_cap < 1:
-            raise ValueError("max_generations and active_cap must be >= 1")
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
 
 
 @dataclass
@@ -71,7 +71,6 @@ class CgReport:
     peak_resident_secants: int
     fully_satisfied: bool
     delta_hat: float
-    lam: float
     violators_found: int
     init_size: int
     # per generation g = 0 (the initial solve) .. generations: dict(generation,
@@ -82,15 +81,6 @@ class CgReport:
 
 # ---------------------------------------------------------------------------
 # pieces
-
-
-def sample_initial_secants(q: int, data: Dataset, config: CgConfig) -> SecantBatch:
-    """Uniform sample (without replacement) from the pair stream with true
-    distances filled in; the whole stream when the request covers it."""
-    total = secant_count(q)
-    rng = np.random.default_rng(config.scan_seed)
-    t = sample_pair_indices(total, config.init_sample_size, rng)
-    return SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
 
 
 def identify_active(resid: np.ndarray, delta_hat: float, active_tol: float,
@@ -200,13 +190,14 @@ def train_nibh_cg(
     Terminates when a full scan finds no violator or max_generations is
     exhausted; ``fully_satisfied`` says which. A clean scan returns the
     model it scanned. An exhausted budget returns the generation with the
-    lowest refit delta (the later one on a tie), and the report's ``lam``,
+    lowest refit delta (the later one on a tie), and the report's
     ``delta_hat`` and ``best_generation`` describe that generation.
     """
     if config is None:
         config = CgConfig()
 
-    secants = sample_initial_secants(data.q, data, config)
+    secants = SecantBatch.sample(data.points, config.init_sample_size,
+                                 config.scan_seed)
     init_size = peak = len(secants)
     lam_hat = None  # fitted by the first solve, frozen for the rest of the run
     history = []
@@ -221,7 +212,7 @@ def train_nibh_cg(
                        - secants.c)
         delta_hat = float(resid.max())
         active = secants.subset(identify_active(
-            resid, delta_hat, config.active_tol, config.active_cap))
+            resid, delta_hat, _ACTIVE_TOL, _ACTIVE_CAP))
         full_delta = max_distortion(model, data, n_threads=n_threads).delta
 
         violators, scanned_all = scan_violators(
@@ -259,7 +250,6 @@ def train_nibh_cg(
         peak_resident_secants=peak,
         fully_satisfied=scanned_all,
         delta_hat=delta_hat,
-        lam=model.lam,
         violators_found=violators_total,
         init_size=init_size,
         history=history,

@@ -170,6 +170,14 @@ class SecantBatch:
         i, j = decode_pair_indices(np.arange(secant_count(len(points))))
         return cls.from_pairs(points, i, j)
 
+    @classmethod
+    def sample(cls, points: np.ndarray, k: int, seed: int) -> "SecantBatch":
+        """k distinct pairs drawn uniformly under ``seed``, in stream order,
+        with true ambient distances; every pair when k covers the stream."""
+        t = sample_pair_indices(secant_count(len(points)), k,
+                                np.random.default_rng(seed))
+        return cls.from_pairs(points, *decode_pair_indices(t))
+
 
 @dataclass
 class HashModel:

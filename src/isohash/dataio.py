@@ -69,8 +69,7 @@ def preprocess(raw: np.ndarray) -> Dataset:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 2:
         raise DataFormatError(f"need a Q x N matrix with Q >= 2, got {raw.shape}")
-    mean = raw.mean(axis=0)
-    return Dataset(_center_and_normalize(raw, mean), mean=mean, normalized=True)
+    return preprocess_with(raw, raw.mean(axis=0))
 
 
 def preprocess_with(raw: np.ndarray, mean: np.ndarray) -> Dataset:

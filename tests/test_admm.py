@@ -372,7 +372,7 @@ class TestWStep:
         fbest = min(f(g) for g in fine)
 
         state = make_state(np.array([[0.1]]), u, y, lam, alpha)
-        cfg = SolverConfig(inner_gd_iters=400, inner_gd_tol=0.0)
+        cfg = SolverConfig(inner_gd_iters=400)
         w_out = w_step(state, sec, Dataset(pts), cfg)
         assert f(float(w_out[0, 0])) <= fbest + 1e-6
 
@@ -468,7 +468,8 @@ class TestTrainNibh:
         assert np.all(np.isfinite(hist))
         # bookkeeping delta equals the metrics measurement recomputed from scratch
         rep = max_distortion(model, self.data, secants=self.secants)
-        assert rep.delta == pytest.approx(state.loss_history[-1][2], abs=1e-12)
+        assert rep.delta == pytest.approx(
+            state.loss_history[state.best_iteration - 1][2], abs=1e-12)
 
     def test_returns_latest_lowest_delta_iterate(self):
         cfg = SolverConfig(max_outer_iters=10, seed=5)
@@ -488,6 +489,23 @@ class TestTrainNibh:
         sec = self.secants
         assert admm._quantized_delta(model.w, self.data.points, sec.i, sec.j,
                                      sec.c) == min(deltas)
+
+    def test_divergence_returns_lowest_delta_iterate(self, monkeypatch):
+        # a guard this tight trips after three iterations above the minimum
+        monkeypatch.setattr(admm, "_DIVERGENCE_FACTOR", 1.0)
+        monkeypatch.setattr(admm, "_DIVERGENCE_PATIENCE", 3)
+        model, state = train_nibh(self.data, self.secants, 5,
+                                  SolverConfig(max_outer_iters=30, seed=0))
+        assert state.diverged and not state.converged
+        assert len(state.loss_history) == state.iteration
+        assert state.best_iteration < state.iteration
+        # the first ``best_iteration`` iterations of the same solve end there
+        _, cut_state = train_nibh(
+            self.data, self.secants, 5,
+            SolverConfig(max_outer_iters=state.best_iteration, seed=0))
+        assert not cut_state.diverged
+        assert model.w.tobytes() == cut_state.w.tobytes()
+        assert (model.lam, model.alpha) == (cut_state.lam, cut_state.alpha)
 
     def test_duplicated_point_zero_secant(self):
         pts = np.vstack([self.data.points[:10], self.data.points[0]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import isohash
-from isohash import cli, metrics
+from isohash import admm, cli, metrics
 from isohash.baselines import lsh_model
 from isohash.core import map_tiles
 from isohash.dataio import gen_random_dataset, load_any, load_model, save_binary, save_model
@@ -59,6 +59,23 @@ class TestTrain:
         assert man["command"] == "train"
         assert "train" in man["timings_sec"]
         assert man["dataset_fingerprints"]["data"]
+
+    def test_divergence_exits_4_and_writes_model(self, dataset_file, tmp_path,
+                                                 monkeypatch, capsys):
+        # the guard trips at the second iteration, whose sup loss is always
+        # above half the running minimum
+        monkeypatch.setattr(admm, "_DIVERGENCE_FACTOR", 0.5)
+        monkeypatch.setattr(admm, "_DIVERGENCE_PATIENCE", 2)
+        out = tmp_path / "m.model"
+        code = cli.main([
+            "train", "--data", str(dataset_file), "--algo", "nibh",
+            "--bits", "8", "--max-iters", "10", "--out", str(out),
+        ])
+        assert code == cli.EXIT_DIVERGED == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diverged"] and doc["iterations"] == 2
+        assert load_model(out).lam == doc["lambda"]
+        assert (tmp_path / "m.model.manifest.json").exists()
 
     def test_lsh_same_seed_identical_models(self, dataset_file, tmp_path):
         outs = []

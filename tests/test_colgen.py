@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from isohash.admm import SolverConfig
+from isohash.admm import SolverConfig, train_nibh
 from isohash.colgen import (
     CgConfig,
     _union,
     identify_active,
-    sample_initial_secants,
     scan_violators,
     train_nibh_cg,
 )
@@ -36,20 +35,19 @@ def small_config(**kw):
 class TestSampleInitial:
     def test_whole_population_when_small(self):
         data = gen_random_dataset(4, 3, seed=0)
-        active = sample_initial_secants(4, data, small_config(init_sample_size=6))
+        active = SecantBatch.sample(data.points, 6, seed=0)
         assert len(active) == 6 == secant_count(4)
 
     def test_deterministic_under_seed(self):
         data = gen_random_dataset(100, 5, seed=1)
-        cfg = small_config(init_sample_size=500, scan_seed=11)
-        a = sample_initial_secants(100, data, cfg)
-        b = sample_initial_secants(100, data, cfg)
+        a = SecantBatch.sample(data.points, 500, seed=11)
+        b = SecantBatch.sample(data.points, 500, seed=11)
         np.testing.assert_array_equal(a.i, b.i)
         np.testing.assert_array_equal(a.j, b.j)
 
     def test_targets_are_true_distances(self):
         data = gen_random_dataset(20, 4, seed=2)
-        active = sample_initial_secants(20, data, small_config(init_sample_size=30))
+        active = SecantBatch.sample(data.points, 30, seed=0)
         want = pair_distances(data.points, active.i, active.j)
         np.testing.assert_array_equal(active.c, want)
 
@@ -61,8 +59,7 @@ class TestSampleInitial:
         draws = 1500
         k = 9
         for seed in range(draws):
-            cfg = small_config(init_sample_size=k, scan_seed=seed)
-            active = sample_initial_secants(10, data, cfg)
+            active = SecantBatch.sample(data.points, k, seed)
             counts[active.keys()] += 1
         expected = draws * k / total
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -194,11 +191,11 @@ class TestTrainCg:
         # termination soundness: a fresh full scan at the final state is clean
         codes = hash_codes(model, data)
         violators, scanned_all = scan_violators(
-            codes, data, report.lam, report.delta_hat, 1000, seed=99
+            codes, data, model.lam, report.delta_hat, 1000, seed=99
         )
         assert len(violators) == 0 and scanned_all
         # independent full-stream recompute stays within delta_hat
-        rep = max_distortion(model, data, lam=report.lam)
+        rep = max_distortion(model, data, lam=model.lam)
         assert rep.delta <= report.delta_hat * (1 + 1e-9)
         # memory contract
         assert report.peak_resident_secants <= report.init_size + \
@@ -214,8 +211,13 @@ class TestTrainCg:
         data = preprocess(gen_random_dataset(40, 8, seed=6).points)
         cfg = small_config(init_sample_size=100, violator_batch=60,
                            max_generations=10)
+        first, _ = train_nibh(
+            data, SecantBatch.sample(data.points, 100, cfg.scan_seed), 6,
+            cfg.inner)
         model, report = train_nibh_cg(data, 6, cfg)
-        assert model.lam == report.lam
+        # a re-solve's model carries the scale the first solve fitted
+        assert report.best_generation > 0
+        assert model.lam == first.lam
 
     def test_generation_cap_flags_unsatisfied(self):
         # one generation with a tiny batch cannot cover all violators
@@ -241,7 +243,6 @@ class TestTrainCg:
         assert report.best_generation == best
         assert max_distortion(model, data).delta == min(full)
         assert report.delta_hat == report.history[best]["delta_hat"]
-        assert report.lam == model.lam
 
     def test_clean_scan_returns_scanned_generation(self):
         # the first sample holds every pair, so the first scan is clean
