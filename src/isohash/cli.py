@@ -11,9 +11,9 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
 a ``--secants`` other than all, bre or sample:K with K >= 1, a solver or
 column-generation setting that ``SolverConfig`` or ``CgConfig`` rejects), a
 flag the chosen command or metric does not use, and a ``--k`` or
-``--queries`` index that the dataset cannot serve are usage errors; a
-queries file that does not parse as integers, and a non-finite data value,
-are data errors.
+``--queries`` index or a ``--secants bre`` that the dataset cannot serve are
+usage errors; a queries file that does not parse as integers, and a
+non-finite data value, are data errors.
 """
 
 from __future__ import annotations
@@ -118,7 +118,10 @@ def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
     if spec == "all":
         return SecantBatch.all_pairs(data.points)
     if spec == "bre":
-        return dataio.bre_secant_selection(data)
+        try:
+            return dataio.bre_secant_selection(data)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     return SecantBatch.sample(data.points, int(spec.split(":", 1)[1]), seed)
 
 
@@ -126,7 +129,7 @@ def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
 # train
 
 
-def cmd_train(args, parser) -> int:
+def cmd_train(args, parser, argv) -> int:
     cg_flags = [args.init_sample is not None, args.violator_batch is not None,
                 args.max_gens is not None]
     if args.algo != "nibh-cg" and any(cg_flags):
@@ -158,7 +161,7 @@ def cmd_train(args, parser) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    man = Manifest("train", sys.argv[1:])
+    man = Manifest("train", argv)
     man.fingerprint("data", args.data)
     man.doc["seeds"]["seed"] = args.seed
 
@@ -219,6 +222,9 @@ def cmd_train(args, parser) -> int:
         dataio.save_model(model, args.out)
     man.doc["artifacts"].append(args.out)
     man.doc["config"]["solver"] = vars(solver_cfg).copy()
+    if args.algo == "nibh-cg":
+        man.doc["config"]["cg"] = {key: val for key, val in vars(cg_cfg).items()
+                                   if key != "inner"}
     man.write(args.manifest or args.out + ".manifest.json")
     _emit(report)
     return EXIT_DIVERGED if diverged else EXIT_OK
@@ -251,11 +257,11 @@ def _check_queries(data: Dataset, queries, k: int, k_min: int = 1):
         raise UsageError(str(exc)) from None
 
 
-def cmd_eval(args, parser) -> int:
+def cmd_eval(args, parser, argv) -> int:
     if args.metric == "delta" and (args.k is not None or args.queries is not None):
         parser.error("--k and --queries apply only to --metric map or tau; "
                      "delta is measured over all pairs")
-    man = Manifest("eval", sys.argv[1:])
+    man = Manifest("eval", argv)
     man.fingerprint("data", args.data)
     man.fingerprint("model", args.model)
 
@@ -288,8 +294,8 @@ def cmd_eval(args, parser) -> int:
 # demo
 
 
-def cmd_demo_fig1(args, parser) -> int:
-    man = Manifest("demo-fig1", sys.argv[1:])
+def cmd_demo_fig1(args, parser, argv) -> int:
+    man = Manifest("demo-fig1", argv)
     man.doc["seeds"]["seed"] = args.seed
 
     with man.phase("generate"):
@@ -335,8 +341,8 @@ def cmd_demo_fig1(args, parser) -> int:
 # checks
 
 
-def cmd_check(args, parser) -> int:
-    man = Manifest(f"check-{args.check}", sys.argv[1:])
+def cmd_check(args, parser, argv) -> int:
+    man = Manifest(f"check-{args.check}", argv)
     if args.check == "lemma1":
         man.doc["seeds"]["seed"] = args.seed
         try:
@@ -454,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
@@ -465,7 +472,7 @@ def main(argv=None) -> int:
         "check": cmd_check,
     }
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args, parser, argv)
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return EXIT_USAGE

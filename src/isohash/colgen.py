@@ -3,10 +3,10 @@ alternate streaming scans for violated pairs with warm-started re-solves
 until a full scan comes back clean.
 
 Memory never scales with the pair count: a scan walks the pair stream in
-tiles of the engine in :mod:`core` and keeps only the violators that come
-first in a seeded pseudo-random order of the stream, O(tile + batch_limit +
-Q) in all, and only the active set plus at most one violator batch per
-generation is ever resident.
+tiles of the engine in :mod:`core` and keeps only the most violated pairs,
+the batch with the largest residuals, O(tile + batch_limit + Q) in all, and
+only the active set plus at most one violator batch per generation is ever
+resident.
 Violation and activity are judged on quantized codes, since the termination
 guarantee concerns the real near-isometry condition.
 """
@@ -31,7 +31,6 @@ from .core import (
     hash_codes,
     map_tiles,
     pair_linear_index,
-    secant_count,
 )
 from .metrics import max_distortion
 
@@ -53,7 +52,7 @@ _ACTIVE_CAP = 200_000
 class CgConfig:
     init_sample_size: int = 5000  # clamped to the pair count
     violator_batch: int = 2000
-    scan_seed: int = 0
+    scan_seed: int = 0  # seeds the initial secant sample
     max_generations: int = 20
     inner: SolverConfig = field(default_factory=SolverConfig)
 
@@ -97,65 +96,48 @@ def identify_active(resid: np.ndarray, delta_hat: float, active_tol: float,
     return mask
 
 
-def _scan_positions(total: int, seed: int):
-    """Affine full-cycle walk of [0, total): position(t) = (off + t*step) mod
-    total with step coprime to total. Pseudo-random order, O(1) state, each
-    pair visited exactly once."""
-    rng = np.random.default_rng(seed)
-    step = int(rng.integers(1, max(total, 2)))  # a one-pair stream has step 1
-    while math.gcd(step, total) != 1:
-        step += 1
-        if step >= total:
-            step = 1
-    off = int(rng.integers(0, total))
-    return off, step
-
-
 def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
-                   delta_hat: float, batch_limit: int, seed: int,
+                   delta_hat: float, batch_limit: int,
                    n_threads: int = 1) -> tuple[SecantBatch, bool]:
     """Secants whose quantized residual exceeds delta_hat: the batch_limit
-    of them that come first in a seeded pseudo-random walk of the pair
-    stream, in walk order.
+    most violated of them, in stream order.
 
     Every tile is scanned; screened residuals within the engine's margin
-    of delta_hat are recomputed literally. A violator at stream position t
-    is ranked by its place p = (t - off) * step^-1 mod total in the walk of
-    :func:`_scan_positions`, and each worker keeps only the batch_limit
-    smallest p, so memory is O(tile + batch_limit + Q) and any
-    ``n_threads`` returns the identical result.
+    of delta_hat are recomputed literally. Violators are ranked by that
+    literal residual |lam d_H - c|, largest first, ties to the smaller
+    stream position, and each worker keeps only its batch_limit best, so
+    memory is O(tile + batch_limit + Q) and any ``n_threads`` returns the
+    identical result.
 
     Returns (violators, scanned_all); scanned_all is True exactly when no
     pair violates.
     """
     if delta_hat < 0:
         raise ValueError("delta_hat must be nonnegative")
-    total = secant_count(data.q)
-    off, step = _scan_positions(total, seed)
-    inv = pow(step, -1, total)
 
-    def first(p, t):
-        keep = np.argsort(p)[:batch_limit]
-        return p[keep], t[keep]
+    def top(r, t):
+        keep = np.lexsort((t, -r))[:batch_limit]
+        return r[keep], t[keep]
 
     tiles = PairTiles(data.points, codes)
     screen = delta_hat - tiles.margin(lam)
 
     def scan(tile_list):
-        p = t = np.empty(0, dtype=np.int64)
+        r, t = np.empty(0), np.empty(0, dtype=np.int64)
         for lo, hi in tile_list:
             rows, j = np.nonzero(tiles.residuals(lo, hi, lam) > screen)
             i = lo + rows
-            hit = pair_linear_index(i, j)[tiles.exact_residuals(i, j, lam) > delta_hat]
-            p, t = first(np.concatenate([p, (hit - off) * inv % total]),
-                         np.concatenate([t, hit]))
-        return p, t
+            exact = tiles.exact_residuals(i, j, lam)
+            hit = exact > delta_hat
+            r, t = top(np.concatenate([r, exact[hit]]),
+                       np.concatenate([t, pair_linear_index(i[hit], j[hit])]))
+        return r, t
 
     parts = map_tiles(scan, data.q, n_threads)
-    p, t = first(np.concatenate([p for p, _ in parts]),
-                 np.concatenate([t for _, t in parts]))
-    violators = SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
-    return violators, p.size == 0
+    _, t = top(*map(np.concatenate, zip(*parts)))
+    violators = SecantBatch.from_pairs(data.points,
+                                       *decode_pair_indices(np.sort(t)))
+    return violators, t.size == 0
 
 
 def _union(active: SecantBatch, violators: SecantBatch) -> SecantBatch:
@@ -182,10 +164,11 @@ def train_nibh_cg(
     """Column-generation training over the full pair universe.
 
     Solves on an initial random subset, freezes the scale from that solve,
-    then repeatedly augments the active set with scanned violators and
-    re-solves warm-started from the previous embedding (u, y restart at zero
-    because the secant index set changed). Every generation's solve is
-    scanned, and its refit delta over every pair is measured.
+    then repeatedly augments the active set with the ``violator_batch`` most
+    violated pairs of a full scan and re-solves warm-started from the
+    previous embedding (u, y restart at zero because the secant index set
+    changed). Every generation's solve is scanned, and its refit delta over
+    every pair is measured.
 
     Terminates when a full scan finds no violator or max_generations is
     exhausted; ``fully_satisfied`` says which. A clean scan returns the
@@ -217,7 +200,7 @@ def train_nibh_cg(
 
         violators, scanned_all = scan_violators(
             codes, data, lam_hat, delta_hat, config.violator_batch,
-            seed=config.scan_seed + gen + 1, n_threads=n_threads,
+            n_threads=n_threads,
         )
         violators_total += len(violators)
         # a clean scan certifies the model it scanned, which is kept whatever

@@ -77,6 +77,35 @@ class TestTrain:
         assert load_model(out).lam == doc["lambda"]
         assert (tmp_path / "m.model.manifest.json").exists()
 
+    def test_nibh_cg_manifest_records_cg_config_and_argv(self, dataset_file,
+                                                         tmp_path, monkeypatch,
+                                                         capsys):
+        # the manifest holds the argv given to main, not the host program's
+        monkeypatch.setattr(sys, "argv", ["prog", "--flag"])
+        out = tmp_path / "m.model"
+        argv = ["train", "--data", str(dataset_file), "--algo", "nibh-cg",
+                "--bits", "4", "--max-iters", "3", "--init-sample", "100",
+                "--violator-batch", "50", "--max-gens", "2", "--seed", "3",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert np.isfinite(doc["delta"]) and doc["iterations"] <= 2
+        man = json.loads((tmp_path / "m.model.manifest.json").read_text())
+        assert man["argv"] == argv
+        assert man["config"]["cg"] == {"init_sample_size": 100,
+                                       "violator_batch": 50,
+                                       "max_generations": 2, "scan_seed": 3}
+
+    def test_bre_on_too_few_pairs_usage_error(self, tmp_path):
+        csv = tmp_path / "pts.csv"
+        csv.write_text("".join(f"{i}.0,{i * i}.0\n" for i in range(5)))
+        res = run_cli("train", "--data", str(csv), "--algo", "nibh", "--bits", "4",
+                      "--secants", "bre", "--out", str(tmp_path / "m.model"),
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert "select zero secants" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_lsh_same_seed_identical_models(self, dataset_file, tmp_path):
         outs = []
         for name in ("a.model", "b.model"):
@@ -336,3 +365,23 @@ class TestCheck:
         )
         assert res.returncode == 2
         assert "k=59" in res.stderr and "Traceback" not in res.stderr
+
+
+class TestManifest:
+    def test_every_command_records_the_argv_given_to_main(
+            self, dataset_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["prog", "--flag"])
+        model = tmp_path / "m.model"
+        save_model(lsh_model(10, 16, 3, data=load_any(dataset_file)), model)
+        data = ["--model", str(model), "--data", str(dataset_file)]
+        for name, argv in [
+            ("eval", ["eval", *data, "--metric", "delta"]),
+            ("knn", ["check", "knn", *data, "--k", "4"]),
+            ("lemma1", ["check", "lemma1", "--alpha", "10", "--sigma", "1",
+                        "--samples", "10000"]),
+            ("demo", ["demo-fig1", "--grid-steps", "90"]),
+        ]:
+            path = tmp_path / f"{name}.manifest.json"
+            argv = [*argv, "--manifest", str(path)]
+            assert cli.main(argv) == 0, argv
+            assert json.loads(path.read_text())["argv"] == argv

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from isohash import core
 from isohash.admm import SolverConfig, train_nibh
 from isohash.colgen import (
     CgConfig,
@@ -16,6 +17,7 @@ from isohash.colgen import (
 from isohash.core import (
     Dataset,
     SecantBatch,
+    decode_pair_indices,
     hamming_pairs,
     hash_codes,
     hash_matrix,
@@ -23,7 +25,7 @@ from isohash.core import (
     random_projection_matrix,
     secant_count,
 )
-from isohash.dataio import gen_random_dataset, preprocess
+from isohash.dataio import gen_random_dataset, gen_translating_squares, preprocess
 from isohash.metrics import max_distortion
 
 
@@ -120,13 +122,13 @@ class TestScanViolators:
 
     def test_infinite_delta_no_violators(self):
         violators, scanned_all = scan_violators(
-            self.codes, self.data, 1.0, math.inf, 100, seed=0
+            self.codes, self.data, 1.0, math.inf, 100
         )
         assert len(violators) == 0 and scanned_all
 
     def test_zero_delta_everything_violates(self):
         violators, scanned_all = scan_violators(
-            self.codes, self.data, 1.0, 0.0, 40, seed=1
+            self.codes, self.data, 1.0, 0.0, 40
         )
         assert len(violators) == 40 and not scanned_all
         resid = np.abs(1.0 * hamming_pairs(self.codes, violators.i, violators.j)
@@ -137,7 +139,7 @@ class TestScanViolators:
         lam = 0.4
         delta_hat = 1.1
         violators, scanned_all = scan_violators(
-            self.codes, self.data, lam, delta_hat, 10_000, seed=2
+            self.codes, self.data, lam, delta_hat, 10_000
         )
         got = set(zip(violators.i.tolist(), violators.j.tolist()))
         want = set()
@@ -152,19 +154,39 @@ class TestScanViolators:
         assert not scanned_all  # violators exist, so the flag stays False
 
     def test_threaded_matches_serial(self):
-        a, sa = scan_violators(self.codes, self.data, 0.4, 1.0, 37, seed=3)
-        b, sb = scan_violators(self.codes, self.data, 0.4, 1.0, 37, seed=3,
-                               n_threads=3)
+        a, sa = scan_violators(self.codes, self.data, 0.4, 1.0, 37)
+        b, sb = scan_violators(self.codes, self.data, 0.4, 1.0, 37, n_threads=3)
         assert sa == sb
         np.testing.assert_array_equal(a.i, b.i)
         np.testing.assert_array_equal(a.j, b.j)
 
-    def test_deterministic_under_seed(self):
-        a, _ = scan_violators(self.codes, self.data, 0.4, 1.0, 20, seed=5)
-        b, _ = scan_violators(self.codes, self.data, 0.4, 1.0, 20, seed=5)
-        np.testing.assert_array_equal(a.i, b.i)
-        c, _ = scan_violators(self.codes, self.data, 0.4, 1.0, 20, seed=6)
-        assert not (len(a) == len(c) and np.array_equal(a.i, c.i))
+    def test_batch_is_the_top_residuals(self, monkeypatch):
+        # translating squares take few distinct distances and Hamming levels,
+        # so residuals tie exactly and a batch can end inside a tie; one row
+        # per tile spreads the stream over every worker
+        monkeypatch.setattr(core, "TILE_PAIRS", 64)
+        data = gen_translating_squares(grid=8, square=3)
+        codes = hash_matrix(random_projection_matrix(6, data.n, 2), data.points)
+        lam = 0.5
+        i, j = decode_pair_indices(np.arange(secant_count(data.q)))
+        pts, packed = data.points, codes.packed
+        resid = [abs(lam * int(np.bitwise_count(packed[a] ^ packed[b]).sum())
+                     - float(np.linalg.norm(pts[a] - pts[b])))
+                 for a, b in zip(i, j)]
+        delta_hat = float(np.median(resid))
+        ranked = sorted((t for t, r in enumerate(resid) if r > delta_hat),
+                        key=lambda t: (-resid[t], t))
+        ties = [k for k in range(1, len(ranked))
+                if resid[ranked[k - 1]] == resid[ranked[k]]]
+        assert len(ties) >= 4  # batches that split a tie
+        for k in [*ties[::len(ties) // 4], len(ranked) + 5]:
+            for n_threads in (1, 2, 3):
+                got, clean = scan_violators(codes, data, lam, delta_hat, k,
+                                            n_threads=n_threads)
+                # the k largest, ties to the smaller stream position, in
+                # stream order
+                np.testing.assert_array_equal(got.keys(), sorted(ranked[:k]))
+                assert not clean
 
 
 class TestUnion:
@@ -191,7 +213,7 @@ class TestTrainCg:
         # termination soundness: a fresh full scan at the final state is clean
         codes = hash_codes(model, data)
         violators, scanned_all = scan_violators(
-            codes, data, model.lam, report.delta_hat, 1000, seed=99
+            codes, data, model.lam, report.delta_hat, 1000
         )
         assert len(violators) == 0 and scanned_all
         # independent full-stream recompute stays within delta_hat

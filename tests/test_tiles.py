@@ -130,7 +130,7 @@ class TestGramCancellation:
         for delta_hat in [*mids[[0, len(mids) // 3, -1]], 2.0 * levels[-1]]:
             for n_threads in (1, 3):
                 got, clean = scan_violators(codes, data, lam, delta_hat, len(pairs),
-                                            seed=4, n_threads=n_threads)
+                                            n_threads=n_threads)
                 want = {p for p, r in resid.items() if r > delta_hat}
                 assert set(zip(got.i.tolist(), got.j.tolist())) == want
                 assert clean == (not want)
