@@ -351,8 +351,8 @@ def _emit(progress, record: dict):
 
 def _quantized_delta(w, points, i_idx, j_idx, c) -> float:
     """Distortion of the quantized codes over the training secants: the
-    scale-fitted sup of |lambda d_H - c| (the same measurement the metrics
-    module reports)."""
+    scale-fitted sup of |lambda d_H - c| (see :func:`train_nibh` for how it
+    relates to metrics.max_distortion)."""
     codes = hash_matrix(w, points)
     dh = hamming_pairs(codes, i_idx, j_idx).astype(np.float64)
     if not np.any(c > 0):
@@ -394,8 +394,10 @@ def train_nibh(
     last iterate. loss_history has one row per iteration run, (iteration,
     sup_loss, delta): sup_loss is ||lambda v - c||_inf at the solver's
     lambda, delta the scale-fitted distortion of the quantized codes over
-    the training secants (identical to what metrics.max_distortion reports
-    for them).
+    the training secants. When the secants are every pair, that delta is
+    the one metrics.max_distortion reports for the model, to rounding; on
+    collapsed codes (every d_H = 0) it is max c, where max_distortion
+    raises.
     """
     if config is None:
         config = SolverConfig()

@@ -111,32 +111,33 @@ def grid_search_embedding_1d(points: np.ndarray, norm_kind: str,
 # the three-cluster demonstration dataset
 
 
-def nn_order_preserved(points: np.ndarray, angle: float, query_idx: int = 0):
-    """Compare the query's neighbor ordering in the ambient plane against the
-    1-D projection at the given angle.
+def nn_order_preserved(points: np.ndarray, angle: float):
+    """Compare the neighbor ordering of the query (point 0) in the ambient
+    plane against the 1-D projection at the given angle.
 
     Returns (fully_preserved, ambient_order, projected_order) where the
     orders list the other point indices nearest-first (ties by index).
     """
     points = np.asarray(points, dtype=np.float64)
-    d_amb = np.linalg.norm(points - points[query_idx], axis=1)
+    d_amb = np.linalg.norm(points - points[0], axis=1)
     proj = points @ np.array([np.cos(angle), np.sin(angle)])
-    d_emb = np.abs(proj - proj[query_idx])
-    ambient = ranked_neighbors(d_amb, query_idx)
-    projected = ranked_neighbors(d_emb, query_idx)
+    d_emb = np.abs(proj - proj[0])
+    ambient = ranked_neighbors(d_amb, 0)
+    projected = ranked_neighbors(d_emb, 0)
     return bool(np.array_equal(ambient, projected)), ambient, projected
 
 
 def circle_square_misordered(points: np.ndarray, labels: np.ndarray,
-                             angle: float, query_idx: int = 0) -> bool:
-    """True when some circle/square pair swaps its distance-to-query order
-    between the ambient plane and the 1-D projection at the given angle."""
+                             angle: float) -> bool:
+    """True when some circle/square pair swaps its order of distance to the
+    query (point 0) between the ambient plane and the 1-D projection at the
+    given angle."""
     points = np.asarray(points, dtype=np.float64)
-    d_amb = np.linalg.norm(points - points[query_idx], axis=1)
+    d_amb = np.linalg.norm(points - points[0], axis=1)
     proj = points @ np.array([np.cos(angle), np.sin(angle)])
-    d_emb = np.abs(proj - proj[query_idx])
-    circles = [t for t in np.nonzero(labels == "circle")[0] if t != query_idx]
-    squares = [t for t in np.nonzero(labels == "square")[0] if t != query_idx]
+    d_emb = np.abs(proj - proj[0])
+    circles = [t for t in np.nonzero(labels == "circle")[0] if t != 0]
+    squares = [t for t in np.nonzero(labels == "square")[0] if t != 0]
     for a in circles:
         for b in squares:
             if (d_amb[a] < d_amb[b]) != (d_emb[a] < d_emb[b]):

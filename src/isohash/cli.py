@@ -9,11 +9,14 @@ only in the manifest.
 Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
 5 check failure. A malformed flag value (``--bits`` or ``--threads`` below 1,
 a ``--secants`` other than all, bre or sample:K with K >= 1, a solver or
-column-generation setting that ``SolverConfig`` or ``CgConfig`` rejects), a
-flag the chosen command or metric does not use, and a ``--k`` or
-``--queries`` index or a ``--secants bre`` that the dataset cannot serve are
-usage errors; a queries file that does not parse as integers, and a
-non-finite data value, are data errors.
+column-generation setting that ``SolverConfig`` or ``CgConfig`` rejects, a
+``demo-fig1`` ``--grid-steps`` below 2 or ``--seed`` without the demo's
+contrast, a ``check lemma1`` ``--alpha`` or ``--sigma`` not positive or
+``--samples`` below 10^4), a flag the chosen command or metric does not use,
+and a ``--k`` or ``--queries`` index or a ``--secants bre`` that the dataset
+cannot serve are usage errors; a queries file that does not parse as
+integers, a non-finite data value, and a zero row in a dataset flagged
+normalized are data errors.
 """
 
 from __future__ import annotations
@@ -205,9 +208,10 @@ def cmd_train(args, parser, argv) -> int:
                     data, args.bits, cg_cfg, progress=progress,
                     n_threads=args.threads,
                 )
-            rep = metrics.max_distortion(model, data, n_threads=args.threads)
+            # training measured the returned model's delta over every pair
+            best = cg_rep.history[cg_rep.best_generation]
             report.update({
-                "delta": rep.delta,
+                "delta": best["full_delta"],
                 "lambda": model.lam,
                 "iterations": cg_rep.generations,
                 "delta_hat": cg_rep.delta_hat,
@@ -298,8 +302,13 @@ def cmd_demo_fig1(args, parser, argv) -> int:
     man = Manifest("demo-fig1", argv)
     man.doc["seeds"]["seed"] = args.seed
 
-    with man.phase("generate"):
-        pts, labels = baselines.make_fig1_dataset(args.seed, args.grid_steps)
+    # what the demo rejects (too few grid steps, a seed without the
+    # contrast) is a misused flag
+    try:
+        with man.phase("generate"):
+            pts, labels = baselines.make_fig1_dataset(args.seed, args.grid_steps)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     with man.phase("search"):
         linf = baselines.grid_search_embedding_1d(pts, "linf", args.grid_steps)
         l2 = baselines.grid_search_embedding_1d(pts, "l2", args.grid_steps)
@@ -353,6 +362,8 @@ def cmd_check(args, parser, argv) -> int:
                    "samples": args.samples, "empirical_mean": emp,
                    "bound": bound, "passed": True}
             code = EXIT_OK
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         except AssertionError as exc:
             doc = {"check": "lemma1", "alpha": args.alpha, "sigma": args.sigma,
                    "samples": args.samples, "error": str(exc), "passed": False}

@@ -157,7 +157,6 @@ def train_nibh_cg(
     m: int,
     config: Optional[CgConfig] = None,
     *,
-    w0: Optional[np.ndarray] = None,
     progress: Optional[Callable] = None,
     n_threads: int = 1,
 ) -> tuple[HashModel, CgReport]:
@@ -183,6 +182,7 @@ def train_nibh_cg(
                                  config.scan_seed)
     init_size = peak = len(secants)
     lam_hat = None  # fitted by the first solve, frozen for the rest of the run
+    w0 = None  # each re-solve warm-starts from the previous embedding
     history = []
     violators_total = 0
     best = (math.inf,)  # (full delta, generation, model, delta_hat)
@@ -229,7 +229,7 @@ def train_nibh_cg(
     _, best_gen, model, delta_hat = best
     report = CgReport(
         generations=gen,
-        active_size=len(active),
+        active_size=history[best_gen]["active_size"],
         peak_resident_secants=peak,
         fully_satisfied=scanned_all,
         delta_hat=delta_hat,

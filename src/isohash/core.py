@@ -94,10 +94,11 @@ class Dataset:
                 )
         if self.normalized:
             norms = np.linalg.norm(self.points, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                bad = int(np.argmax(np.abs(norms - 1.0)))
+            off = ~(np.abs(norms - 1.0) <= 1e-9)  # a NaN norm is off too
+            if np.any(off):
+                bad = int(np.argmax(off))
                 raise ValueError(
-                    f"normalized=True but row {bad} has norm {norms[bad]!r}"
+                    f"normalized=True but row {bad} has norm {float(norms[bad])!r}"
                 )
 
     @property
@@ -148,9 +149,6 @@ class SecantBatch:
 
     def __len__(self) -> int:
         return self.i.size
-
-    def __getitem__(self, k) -> SecantRef:
-        return SecantRef(int(self.i[k]), int(self.j[k]), float(self.c[k]))
 
     def keys(self) -> np.ndarray:
         """Linear pair index i*(i-1)/2 + j; unique per unordered pair."""

@@ -218,7 +218,13 @@ def load_binary(path) -> Dataset:
     pts = pts.astype(np.float64)
     if normalized:
         # float32 storage perturbs norms; restore exact unit rows
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DataFormatError(
+                f"{path}: row {int(zero[0])} is zero in a dataset flagged normalized"
+            )
+        pts = pts / norms
     return Dataset(pts, normalized=normalized)
 
 

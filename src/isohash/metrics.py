@@ -1,18 +1,18 @@
 """Evaluation metrics: worst-case distortion with its optimal scale, mean
 average precision over k-nearest neighbors, and Kendall tau rank correlation.
 
-Distortion over every pair is one tile pass (:class:`core.PairTiles`,
-O(tile + Q) memory) that keeps each Hamming level's smallest and largest
-literal distance and the pairs that can tie with them
-(:func:`_level_candidates`). lambda* is the Chebyshev fit over those
-extremes; delta and the worst secant come from the kept pairs; all three
-equal a literal scan's, bit for bit. With 2 threads the pass at Q = 10^4
-takes 0.55 s instead of 1.02 s (refit) and 0.59 s instead of 1.06 s (fixed
-lambda); at Q = 2000 (about 0.053 s) the gain ranges from nothing to 1.6x
-from run to run (N = 100, M = 16; 2 cores, one BLAS thread). The neighbor
-metrics rank their queries a block at a time, one tile per block
-(:func:`core.query_neighbors`), and compare rankings through integer keys
-d_H Q + j (:func:`core.hamming_kth`).
+Distortion is measured over every pair of the dataset, never over a subset,
+in one tile pass (:class:`core.PairTiles`, O(tile + Q) memory) that keeps
+each Hamming level's smallest and largest literal distance and the pairs
+that can tie with them (:func:`_level_candidates`). lambda* is the
+Chebyshev fit over those extremes; delta and the worst secant come from the
+kept pairs; all three equal a literal scan's, bit for bit. With 2 threads
+the pass at Q = 10^4 takes 0.55 s instead of 1.02 s (refit) and 0.59 s
+instead of 1.06 s (fixed lambda); at Q = 2000 (about 0.053 s) the gain
+ranges from nothing to 1.6x from run to run (N = 100, M = 16; 2 cores, one
+BLAS thread). The neighbor metrics rank their queries a block at a time,
+one tile per block (:func:`core.query_neighbors`), and compare rankings
+through integer keys d_H Q + j (:func:`core.hamming_kth`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     Dataset,
     HashModel,
     PairTiles,
-    SecantBatch,
     SecantRef,
     decode_pair_indices,
     hamming_kth,
@@ -55,9 +54,9 @@ __all__ = [
 
 @dataclass
 class DistortionReport:
-    """Worst-case |lambda* d_H - c| over a pair set, with the scale that
-    attains it and the offending pair: of the pairs that attain delta, the
-    first in the pair set (the stream order when every pair counts)."""
+    """Worst-case |lambda* d_H - c| over every pair, with the scale that
+    attains it, the offending pair (of the pairs that attain delta, the
+    first in the stream) and the number of pairs measured."""
 
     delta: float
     lambda_star: float
@@ -184,31 +183,19 @@ def max_distortion(
     model: HashModel,
     data: Dataset,
     *,
-    secants: Optional[SecantBatch] = None,
     lam: Optional[float] = None,
     n_threads: int = 1,
 ) -> DistortionReport:
-    """Worst-case distortion of a model on a dataset.
+    """Worst-case distortion of a model over every pair of a dataset.
 
     By default the scale is re-fitted (the metric's inf over lambda); pass
-    ``lam`` to evaluate at a fixed scale, e.g. the model's own. With
-    ``secants`` the scan is restricted to that batch (using its targets,
-    which may be overridden). Otherwise every pair counts, with its true
-    ambient distance, in one tile pass (:func:`_level_candidates`) whose
-    lambda*, delta and worst secant are those of a literal scan.
+    ``lam`` to evaluate at a fixed scale, e.g. the model's own. Every pair
+    counts, with its true ambient distance, in one tile pass
+    (:func:`_level_candidates`) whose lambda*, delta and worst secant are
+    those of a literal scan. The distortion on a subset of secants (a
+    training set, say) is the solver's bookkeeping, not this metric.
     """
-    if secants is not None and len(secants) == 0:
-        raise ValueError("the secant set is empty: no pair to measure distortion on")
     codes = hash_codes(model, data)
-
-    if secants is not None:
-        v = hamming_pairs(codes, secants.i, secants.j).astype(np.float64)
-        lam_star = _resolve_lambda(v, secants.c, lam)
-        resid = np.abs(lam_star * v - secants.c)
-        worst = int(np.argmax(resid))
-        return DistortionReport(float(resid[worst]), lam_star, secants[worst],
-                                len(secants))
-
     lo, hi, level, c, pos = _level_candidates(codes, data.points, lam, n_threads)
     lam_star = _fit_extremes(lo, hi) if lam is None else float(lam)
     resid = np.abs(lam_star * level - c)  # as PairTiles.exact_residuals
@@ -230,7 +217,13 @@ def refit_lambda(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1) -> 
 def _fit_extremes(lo: np.ndarray, hi: np.ndarray) -> float:
     level = np.flatnonzero(lo <= hi)  # the levels some pair sits at
     v = np.concatenate([level, level]).astype(np.float64)
-    return _resolve_lambda(v, np.concatenate([lo[level], hi[level]]), None)
+    c = np.concatenate([lo[level], hi[level]])
+    if not np.any(v > 0):
+        if c.max(initial=0.0) == 0.0:
+            # every pair coincides in both spaces: vacuously isometric
+            return 1.0
+        raise ValueError(f"embedding collapsed; delta = max c = {c.max():g}")
+    return fit_lambda_chebyshev(v, c)[0]
 
 
 def _level_candidates(codes: BinaryCodes, points: np.ndarray,
@@ -298,17 +291,6 @@ def _prune(lo, hi, w, level, c, pos):
     level, c, pos = level[near], c[near], pos[near]
     first = np.r_[True, (level[1:] != level[:-1]) | (c[1:] != c[:-1])]
     return level[first], c[first], pos[first]
-
-
-def _resolve_lambda(v: np.ndarray, c: np.ndarray, lam: Optional[float]) -> float:
-    if lam is not None:
-        return float(lam)
-    if not np.any(v > 0):
-        if c.max(initial=0.0) == 0.0:
-            # every pair coincides in both spaces: vacuously isometric
-            return 1.0
-        raise ValueError(f"embedding collapsed; delta = max c = {c.max():g}")
-    return fit_lambda_chebyshev(v, c)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ class TestTrainNibh:
 
         init = HashModel(w=w0, lam=1.0, alpha=10.0, mean=self.data.mean,
                          normalized=True)
-        delta_init = max_distortion(init, self.data, secants=self.secants).delta
+        delta_init = max_distortion(init, self.data).delta
         model, state = train_nibh(self.data, self.secants, m, cfg)
         delta_final = state.loss_history[-1][2]
         assert delta_final < delta_init
@@ -467,7 +467,7 @@ class TestTrainNibh:
         hist = np.array(state.loss_history)
         assert np.all(np.isfinite(hist))
         # bookkeeping delta equals the metrics measurement recomputed from scratch
-        rep = max_distortion(model, self.data, secants=self.secants)
+        rep = max_distortion(model, self.data)
         assert rep.delta == pytest.approx(
             state.loss_history[state.best_iteration - 1][2], abs=1e-12)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,36 @@ class TestTrain:
         assert res.returncode == 2
         assert "select zero secants" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_normalized_zero_row_exits_3(self, tmp_path):
+        pts = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 0.0]], dtype="<f4")
+        path = tmp_path / "z.ds"
+        path.write_bytes(b"NIBHDS1" + struct.pack("<QQB", 3, 2, 1) + pts.tobytes())
+        res = run_cli("train", "--data", str(path), "--bits", "4",
+                      "--out", str(tmp_path / "m.model"), cwd=tmp_path)
+        assert res.returncode == 3
+        assert "row 2 is zero" in res.stderr and "Traceback" not in res.stderr
+
+    def test_nibh_cg_reports_the_delta_training_measured(
+            self, dataset_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "m.model"
+        with monkeypatch.context() as mp:
+            # train_nibh_cg measures through its own binding; the command
+            # itself must not scan again
+            def rescan(*args, **kwargs):
+                raise AssertionError("cmd_train rescanned every pair")
+
+            mp.setattr(metrics, "max_distortion", rescan)
+            assert cli.main([
+                "train", "--data", str(dataset_file), "--algo", "nibh-cg",
+                "--bits", "6", "--max-iters", "3", "--init-sample", "200",
+                "--violator-batch", "50", "--max-gens", "3", "--out", str(out),
+            ]) == 0
+        trained = json.loads(capsys.readouterr().out)
+        assert cli.main(["eval", "--model", str(out), "--data", str(dataset_file),
+                         "--metric", "delta",
+                         "--manifest", str(tmp_path / "eval.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == trained["delta"]
 
     def test_lsh_same_seed_identical_models(self, dataset_file, tmp_path):
         outs = []
@@ -304,6 +335,19 @@ class TestDemo:
         assert len(prof) == 721
         proj = (tmp_path / "fig1.projections.csv").read_text().splitlines()
         assert len(proj) == 71
+
+
+@pytest.mark.parametrize("args, message", [
+    (["demo-fig1", "--grid-steps", "1"], "grid_steps must be >= 2"),
+    (["check", "lemma1", "--alpha", "4", "--sigma", "1", "--samples", "100"],
+     "need at least 1e4 samples"),
+    (["check", "lemma1", "--alpha", "0", "--sigma", "1"],
+     "alpha and sigma must be positive"),
+])
+def test_library_rejections_are_usage_errors(args, message, tmp_path):
+    res = run_cli(*args, cwd=tmp_path)
+    assert res.returncode == 2
+    assert message in res.stderr and "Traceback" not in res.stderr
 
 
 class TestCheck:

@@ -252,19 +252,23 @@ class TestTrainCg:
         assert not report.fully_satisfied
 
     def test_exhausted_budget_returns_best_generation(self):
-        data = preprocess(gen_random_dataset(50, 8, seed=7).points)
-        inner = SolverConfig(max_outer_iters=4, inner_gd_iters=5)
-        cfg = CgConfig(init_sample_size=20, violator_batch=5,
-                       max_generations=5, inner=inner)
-        model, report = train_nibh_cg(data, 4, cfg)
-        assert not report.fully_satisfied
-        full = [rec["full_delta"] for rec in report.history]
-        assert [rec["generation"] for rec in report.history] == \
-            list(range(report.generations + 1))
-        best = len(full) - 1 - full[::-1].index(min(full))
-        assert report.best_generation == best
-        assert max_distortion(model, data).delta == min(full)
-        assert report.delta_hat == report.history[best]["delta_hat"]
+        # seed 4 returns a generation before the last, whose active set
+        # differs from the last one's
+        for seed in (7, 4):
+            data = preprocess(gen_random_dataset(50, 8, seed=seed).points)
+            inner = SolverConfig(max_outer_iters=4, inner_gd_iters=5)
+            cfg = CgConfig(init_sample_size=20, violator_batch=5,
+                           max_generations=5, inner=inner)
+            model, report = train_nibh_cg(data, 4, cfg)
+            assert not report.fully_satisfied
+            full = [rec["full_delta"] for rec in report.history]
+            assert [rec["generation"] for rec in report.history] == \
+                list(range(report.generations + 1))
+            best = len(full) - 1 - full[::-1].index(min(full))
+            assert report.best_generation == best
+            assert max_distortion(model, data).delta == min(full)
+            assert report.delta_hat == report.history[best]["delta_hat"]
+            assert report.active_size == report.history[best]["active_size"]
 
     def test_clean_scan_returns_scanned_generation(self):
         # the first sample holds every pair, so the first scan is clean

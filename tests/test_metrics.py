@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from isohash import core, metrics
-from isohash.core import (Dataset, HashModel, SecantBatch, hash_matrix, map_tiles,
+from isohash.core import (Dataset, HashModel, hash_matrix, map_tiles,
                           random_projection_matrix)
 from isohash.dataio import gen_translating_squares
 from isohash.metrics import (
@@ -120,29 +120,6 @@ class TestMaxDistortion:
                 worst = max(worst, abs(0.7 * dh[i, j] - c))
         assert rep.delta == pytest.approx(worst, rel=1e-12)
         assert rep.lambda_star == 0.7
-
-    def test_secant_subset_with_overridden_targets(self):
-        rng = np.random.default_rng(23)
-        pts = rng.standard_normal((10, 4))
-        w = random_projection_matrix(3, 4, 2)
-        model = make_model(w)
-        data = Dataset(pts)
-        batch = SecantBatch([3, 7, 9], [0, 2, 4], [0.0, 1.5, 2.0])
-        rep = max_distortion(model, data, secants=batch, lam=1.0)
-        bits = hash_matrix(w, pts).unpack().astype(int)
-        expect = max(
-            abs(1.0 * np.abs(bits[i] - bits[j]).sum() - c)
-            for i, j, c in [(3, 0, 0.0), (7, 2, 1.5), (9, 4, 2.0)]
-        )
-        assert rep.delta == pytest.approx(expect, rel=1e-12)
-        assert rep.pair_count == 3
-
-    @pytest.mark.parametrize("lam", [None, 0.7])
-    def test_empty_secant_set_rejected(self, lam):
-        data = Dataset(np.random.default_rng(28).standard_normal((5, 3)))
-        model = make_model(random_projection_matrix(4, 3, 8))
-        with pytest.raises(ValueError, match="secant set is empty"):
-            max_distortion(model, data, secants=SecantBatch([], [], []), lam=lam)
 
     def test_threaded_scan_matches_serial(self):
         rng = np.random.default_rng(24)
