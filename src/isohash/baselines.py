@@ -10,17 +10,18 @@ objectives disagree about near-neighbor preservation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Dataset, HashModel, SecantBatch, hash_matrix,
-                   random_projection_matrix, ranked_neighbors)
-from .metrics import fit_lambda_chebyshev, refit_lambda
+from .core import (Dataset, HashModel, SecantBatch, random_projection_matrix,
+                   ranked_neighbors)
+from .metrics import DistortionReport, fit_lambda_chebyshev, max_distortion
 
 __all__ = [
     "GridSearchResult",
     "lsh_model",
+    "lsh_fit",
     "grid_search_embedding_1d",
     "make_fig1_dataset",
     "nn_order_preserved",
@@ -46,17 +47,26 @@ class GridSearchResult:
 def lsh_model(m: int, n: int, seed: int, data: Dataset | None = None) -> HashModel:
     """Random-projection hashing: W has i.i.d. standard normal entries.
 
-    When training data is supplied, the scale is fitted post hoc by the
-    minimax lambda fit over all its pairs (:func:`metrics.refit_lambda`) and
-    the model inherits the data's preprocessing stats; otherwise lambda is 1
-    and the stats are neutral.
+    When training data is supplied, the model is :func:`lsh_fit`'s: it
+    inherits the data's preprocessing stats and its scale is the minimax
+    lambda over all its pairs. Otherwise lambda is 1 and the stats are
+    neutral.
     """
-    w = random_projection_matrix(m, n, seed)
-    if data is None:
-        return HashModel(w=w, lam=1.0, alpha=10.0, mean=np.zeros(n), normalized=False)
-    lam = refit_lambda(hash_matrix(w, data.points), data.points)
-    return HashModel(w=w, lam=lam, alpha=10.0, mean=data.mean,
-                     normalized=data.normalized)
+    if data is not None:
+        return lsh_fit(m, data, seed)[0]
+    return HashModel(w=random_projection_matrix(m, n, seed), lam=1.0, alpha=10.0,
+                     mean=np.zeros(n), normalized=False)
+
+
+def lsh_fit(m: int, data: Dataset, seed: int,
+            n_threads: int = 1) -> tuple[HashModel, DistortionReport]:
+    """The LSH model of ``data`` and its distortion report, from one
+    all-pairs :func:`metrics.max_distortion` pass: the model inherits the
+    data's preprocessing stats, and its scale is the pass's refit lambda*."""
+    model = HashModel(w=random_projection_matrix(m, data.n, seed), lam=1.0,
+                      alpha=10.0, mean=data.mean, normalized=data.normalized)
+    rep = max_distortion(model, data, n_threads=n_threads)
+    return replace(model, lam=rep.lambda_star), rep
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +197,8 @@ def make_fig1_dataset(seed: int = DEMO_DATASET_SEED,
     The generator verifies that contrast for the seed it was given and
     rejects seeds where it fails.
 
-    Returns (points, labels).
+    Returns (points, labels, linf, l2): the two grid searches that verified
+    it, so a caller need not repeat them.
     """
     pts, labels = _cluster_geometry(seed)
     linf = grid_search_embedding_1d(pts, "linf", grid_steps)
@@ -200,4 +211,4 @@ def make_fig1_dataset(seed: int = DEMO_DATASET_SEED,
             f"(worst-case preserves NN order: {linf_ok}, average preserves: "
             f"{l2_ok}); use the shipped seed {DEMO_DATASET_SEED}"
         )
-    return pts, labels
+    return pts, labels, linf, l2

@@ -102,8 +102,9 @@ def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
     """Secants whose quantized residual exceeds delta_hat: the batch_limit
     most violated of them, in stream order.
 
-    Every tile is scanned; screened residuals within the engine's margin
-    of delta_hat are recomputed literally. Violators are ranked by that
+    Every tile is screened (:meth:`core.PairTiles.screen`) for the pairs
+    whose Gram residual may exceed delta_hat less the engine's margin, and
+    their residuals are recomputed literally. Violators are ranked by that
     literal residual |lam d_H - c|, largest first, ties to the smaller
     stream position, and each worker keeps only its batch_limit best, so
     memory is O(tile + batch_limit + Q) and any ``n_threads`` returns the
@@ -120,13 +121,15 @@ def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
         return r[keep], t[keep]
 
     tiles = PairTiles(data.points, codes)
-    screen = delta_hat - tiles.margin(lam)
+    # |lam h - c| > s exactly when c < lam h - s or c > lam h + s
+    s = delta_hat - tiles.margin(lam)
+    at = lam * np.arange(codes.n_bits + 1)
 
     def scan(tile_list):
         r, t = np.empty(0), np.empty(0, dtype=np.int64)
         for lo, hi in tile_list:
-            rows, j = np.nonzero(tiles.residuals(lo, hi, lam) > screen)
-            i = lo + rows
+            i, j = np.divmod(tiles.screen(lo, hi, at - s, at + s)[0], hi)
+            i += lo
             exact = tiles.exact_residuals(i, j, lam)
             hit = exact > delta_hat
             r, t = top(np.concatenate([r, exact[hit]]),

@@ -6,9 +6,10 @@ The stream lists every pair (i, j), i > j, in lexicographic order; pair
 one tile engine, :class:`PairTiles`. A tile, rows [lo, hi) x columns [0, hi)
 of the stream (:func:`row_tiles`) or a block of queries x all points, holds
 at most TILE_PAIRS = 2^18 values, so a pass needs O(tile + Q) memory. Its
-ambient distances are one GEMM, the Gram distances
-sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)); its Hamming distances are
-integers: XOR + popcount on the code bytes, as in :func:`hamming_pairs`.
+ambient distances come from one GEMM, the squared Gram distances
+g = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, as sqrt(max(g, 0)); its Hamming
+distances are integers: XOR + popcount on the code bytes, as in
+:func:`hamming_pairs`.
 
 Gram values only screen: cancellation leaves them within
 ``PairTiles.margin()`` = 4 r sqrt((N + 4) eps) of the literal distance (r
@@ -16,11 +17,16 @@ the largest point norm; the dot-product forward-error bound through the
 sqrt, with room to spare). Each consumer recomputes literally the entries
 within twice the margin of what it decides on (a maximum, a threshold, a
 per-Hamming-level distance extreme, a k-th neighbor), so results are
-bit-identical to a literal pass. :func:`map_tiles` deals tiles to
-``n_threads`` threads; the GEMMs and large ufuncs release the GIL, so
-threads pay off once a pass spans many tiles: 2 threads run
-``metrics.max_distortion`` 1.8x faster at Q = 10^4 and 1.0-1.6x at
-Q = 2000 (N = 100, M = 16; 2 cores, one BLAS thread).
+bit-identical to a literal pass. The all-pairs passes (the distortion pass
+and the violator scan) screen g itself against per-Hamming-level
+thresholds (:meth:`PairTiles.screen`) and take the square root of the
+survivors only. :func:`map_tiles` deals tiles to ``n_threads`` threads;
+the GEMMs and large ufuncs release the GIL. On a shared 2-vCPU Xeon host
+(N = 100, M = 16, one BLAS thread, medians of 5 to 21 calls) a refitting
+``metrics.max_distortion`` pass took 0.033-0.038 s at Q = 2000 with one
+thread and 0.025-0.040 s with two, and 0.63-0.79 s at Q = 10^4 with one
+thread and 0.45-0.46 s with two: what the second thread gains depends on
+how busy the host keeps the other core.
 
 Everything here is stateless and thread-safe. Solver arithmetic is float64
 throughout; binary codes are bit-packed and compared with XOR + popcount.
@@ -214,9 +220,10 @@ class HashModel:
 
 class BinaryCodes:
     """Q x M codes over {0,1}, stored bit-packed (uint8 words, big-endian
-    bit order within each byte)."""
+    bit order within each byte); ``words`` holds the same rows zero-padded to
+    whole 64-bit words."""
 
-    __slots__ = ("packed", "n_bits")
+    __slots__ = ("packed", "n_bits", "words")
 
     def __init__(self, packed: np.ndarray, n_bits: int):
         packed = np.ascontiguousarray(np.asarray(packed, dtype=np.uint8))
@@ -226,6 +233,9 @@ class BinaryCodes:
             )
         self.packed = packed
         self.n_bits = int(n_bits)
+        words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
+        words[:, :packed.shape[1]] = packed
+        self.words = words.view(np.uint64)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BinaryCodes":
@@ -280,9 +290,9 @@ def hash_codes(model: HashModel, data: Dataset) -> BinaryCodes:
 
 def hamming_pairs(codes: BinaryCodes, i_idx, j_idx) -> np.ndarray:
     """Vectorized Hamming distances for index arrays (i_idx, j_idx): the
-    popcount of the XOR of packed rows, which equals the squared l2
-    distance of the unpacked codes."""
-    x = codes.packed[i_idx] ^ codes.packed[j_idx]
+    popcount of the XOR of packed rows, a 64-bit word at a time, which equals
+    the squared l2 distance of the unpacked codes."""
+    x = codes.words[i_idx] ^ codes.words[j_idx]
     return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
 
 
@@ -353,11 +363,18 @@ class PairTiles:
         return (4.0 * self.rmax * math.sqrt((self.points.shape[1] + 4) * eps)
                 + 8.0 * eps * (lam * self.m + 2.0 * self.rmax))
 
-    def ambient(self, rows, cols) -> np.ndarray:
-        g = self.points[rows] @ self.points[cols].T
-        g *= -2.0
+    def gram(self, rows, cols) -> np.ndarray:
+        """Squared Gram distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j, which
+        rounding can leave below 0. The -2 scales the row block: that is
+        exact, so the GEMM gives -2 x_i.x_j bit for bit."""
+        g = (-2.0 * self.points[rows]) @ self.points[cols].T
         g += self.sq[rows, None]
         g += self.sq[cols]
+        return g
+
+    def ambient(self, rows, cols) -> np.ndarray:
+        """Gram distances sqrt(max(g, 0)) of :meth:`gram`."""
+        g = self.gram(rows, cols)
         return np.sqrt(np.maximum(g, 0.0, out=g), out=g)
 
     def hamming(self, rows, cols) -> np.ndarray:
@@ -368,11 +385,31 @@ class PairTiles:
             h += np.bitwise_count(x[:, None] ^ y)
         return h
 
-    def residuals(self, lo: int, hi: int, lam: float) -> np.ndarray:
-        """Screened |lam d_H - c| of rows [lo, hi) x columns [0, hi), -inf at j >= i."""
-        r = self.ambient(slice(lo, hi), slice(0, hi))
-        r -= float(lam) * self.hamming(slice(lo, hi), slice(0, hi))
-        return self.off_stream(np.abs(r, out=r), lo, -np.inf)
+    def screen(self, lo: int, hi: int, below: np.ndarray, above: np.ndarray):
+        """The pairs of rows [lo, hi) x columns [0, hi) whose Gram distance c
+        may be <= below[h] or >= above[h], h their Hamming distance: (flat
+        position in the tile, c, h) of a superset of them, never j >= i.
+
+        Squared Gram values g meet squared thresholds widened by 8 ulps (and
+        8 subnormal steps), so only the survivors pay for c = sqrt(max(g, 0)).
+        A threshold of +-inf or below 0 keeps what it keeps in distance form;
+        off-stream entries are NaN, which no comparison keeps.
+        """
+        eps = np.finfo(np.float64).eps
+        tiny = 8 * np.finfo(np.float64).smallest_subnormal
+        with np.errstate(over="ignore"):
+            b2 = np.where(below >= 0, below * below * (1 + 8 * eps) + tiny, -np.inf)
+            a2 = np.where(above > 0, above * above * (1 - 8 * eps) - tiny, -np.inf)
+        g = self.off_stream(self.gram(slice(lo, hi), slice(0, hi)), lo, np.nan).ravel()
+        h = self.hamming(slice(lo, hi), slice(0, hi)).ravel()
+        # a quarter tile at a time: an intp index gathers twice as fast as a
+        # uint8 one, and each piece's temporaries stay small
+        step, idx = max(1, TILE_PAIRS // 4), []
+        for s in range(0, g.size, step):
+            x, k = g[s:s + step], h[s:s + step].astype(np.intp)
+            idx.append(s + np.flatnonzero((x <= b2[k]) | (x >= a2[k])))
+        idx = np.concatenate(idx)
+        return idx, np.sqrt(np.maximum(g[idx], 0.0)), h[idx]
 
     @staticmethod
     def off_stream(tile: np.ndarray, lo: int, value: float) -> np.ndarray:

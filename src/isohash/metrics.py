@@ -6,13 +6,15 @@ in one tile pass (:class:`core.PairTiles`, O(tile + Q) memory) that keeps
 each Hamming level's smallest and largest literal distance and the pairs
 that can tie with them (:func:`_level_candidates`). lambda* is the
 Chebyshev fit over those extremes; delta and the worst secant come from the
-kept pairs; all three equal a literal scan's, bit for bit. With 2 threads
-the pass at Q = 10^4 takes 0.55 s instead of 1.02 s (refit) and 0.59 s
-instead of 1.06 s (fixed lambda); at Q = 2000 (about 0.053 s) the gain
-ranges from nothing to 1.6x from run to run (N = 100, M = 16; 2 cores, one
-BLAS thread). The neighbor metrics rank their queries a block at a time,
-one tile per block (:func:`core.query_neighbors`), and compare rankings
-through integer keys d_H Q + j (:func:`core.hamming_kth`).
+kept pairs; all three equal a literal scan's, bit for bit. The pass
+screens squared Gram values against each level's thresholds
+(:meth:`core.PairTiles.screen`), so only the few pairs near an extreme get
+a distance and a literal recheck: at Q = 2000 (N = 100, M = 16, one BLAS
+thread, one worker) a refitting pass took 0.033-0.038 s on a shared
+2-vCPU Xeon host (see :mod:`core` for two workers and Q = 10^4). The
+neighbor metrics rank their queries a block at a time, one tile per block
+(:func:`core.query_neighbors`), and compare rankings through integer keys
+d_H Q + j (:func:`core.hamming_kth`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "NeighborReport",
     "fit_lambda_chebyshev",
     "max_distortion",
-    "refit_lambda",
     "map_at_k",
     "kendall_tau_at_k",
     "report_json",
@@ -207,13 +208,6 @@ def max_distortion(
                             secant_count(data.q))
 
 
-def refit_lambda(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1) -> float:
-    """The minimax scale lambda* over every pair of ``points``: the Chebyshev
-    fit over each Hamming level's smallest and largest literal distance,
-    which equals the fit over all pairs (see :func:`_level_candidates`)."""
-    return _fit_extremes(*_level_candidates(codes, points, None, n_threads)[:2])
-
-
 def _fit_extremes(lo: np.ndarray, hi: np.ndarray) -> float:
     level = np.flatnonzero(lo <= hi)  # the levels some pair sits at
     v = np.concatenate([level, level]).astype(np.float64)
@@ -253,13 +247,8 @@ def _level_candidates(codes: BinaryCodes, points: np.ndarray,
         lo, hi = np.full(levels, np.inf), np.full(levels, -np.inf)
         found = (np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
         for t0, t1 in tile_list:
-            c = tiles.ambient(slice(t0, t1), slice(0, t1))
-            c = tiles.off_stream(c, t0, np.nan).ravel()
-            h = tiles.hamming(slice(t0, t1), slice(0, t1)).ravel()
-            # the entries that could fall within w of a running extreme
-            # (never a NaN) ...
-            idx = np.flatnonzero((c <= (lo + pad)[h]) | (c >= (hi - pad)[h]))
-            c, h = c[idx], h[idx]
+            # the entries that could fall within w of a running extreme ...
+            idx, c, h = tiles.screen(t0, t1, lo + pad, hi - pad)
             # ... and of those, the ones that could fall within w of the new one
             below, above = lo.copy(), hi.copy()
             np.minimum.at(below, h, c + err)

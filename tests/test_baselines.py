@@ -108,7 +108,7 @@ class TestGridSearch:
 
 class TestFig1Dataset:
     def test_cluster_counts(self):
-        pts, labels = make_fig1_dataset(grid_steps=720)
+        pts, labels, _, _ = make_fig1_dataset(grid_steps=720)
         assert pts.shape == (70, 2)
         assert (labels == "circle").sum() == 5
         assert (labels == "square").sum() == 5
@@ -116,9 +116,10 @@ class TestFig1Dataset:
         np.testing.assert_array_equal(pts[0], [0.0, 0.0])
 
     def test_shipped_seed_contrast(self):
-        pts, labels = make_fig1_dataset(DEMO_DATASET_SEED, grid_steps=720)
-        linf = grid_search_embedding_1d(pts, "linf", 720)
-        l2 = grid_search_embedding_1d(pts, "l2", 720)
+        pts, labels, linf, l2 = make_fig1_dataset(DEMO_DATASET_SEED, grid_steps=720)
+        assert (linf.norm_kind, l2.norm_kind) == ("linf", "l2")
+        np.testing.assert_array_equal(
+            linf.profile, grid_search_embedding_1d(pts, "linf", 720).profile)
         ok_linf, _, _ = nn_order_preserved(pts, linf.best_angle)
         ok_l2, _, _ = nn_order_preserved(pts, l2.best_angle)
         assert ok_linf and not ok_l2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import isohash
-from isohash import admm, cli, metrics
+from isohash import admm, baselines, cli, metrics
 from isohash.baselines import lsh_model
 from isohash.core import map_tiles
 from isohash.dataio import gen_random_dataset, load_any, load_model, save_binary, save_model
@@ -216,6 +216,29 @@ class TestTrain:
         assert lines and all(json.loads(ln)["iteration"] >= 1 for ln in lines)
 
 
+    def test_lsh_fits_and_measures_in_one_pass(self, dataset_file, tmp_path,
+                                               monkeypatch, capsys):
+        scans = []
+        scan = metrics._level_candidates
+
+        def counted(*args, **kwargs):
+            scans.append(args[2])  # the fixed lambda, None on a refit
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_level_candidates", counted)
+        monkeypatch.chdir(tmp_path)  # the manifest goes to the working directory
+        out = tmp_path / "lsh.model"
+        assert cli.main(["train", "--data", str(dataset_file), "--algo", "lsh",
+                         "--bits", "8", "--seed", "3", "--out", str(out)]) == 0
+        assert scans == [None]
+        doc = json.loads(capsys.readouterr().out)
+        # the scale and delta of a separate fit and measurement
+        data = cli._load_for_training(str(dataset_file))
+        model = lsh_model(8, data.n, 3, data=data)
+        assert doc["lambda"] == model.lam == load_model(out).lam
+        assert doc["delta"] == metrics.max_distortion(model, data).delta
+
+
 class TestEval:
     @pytest.fixture(scope="class")
     def trained(self, dataset_file, tmp_path_factory):
@@ -230,14 +253,24 @@ class TestEval:
 
     def test_delta_reproduces_train_report(self, dataset_file, trained):
         d, model_path, train_doc = trained
+        sampled = d / "sampled.model"
         res = run_cli(
-            "eval", "--model", str(model_path), "--data", str(dataset_file),
-            "--metric", "delta", cwd=d,
+            "train", "--data", str(dataset_file), "--algo", "nibh", "--bits", "8",
+            "--max-iters", "10", "--secants", "sample:200", "--out", str(sampled),
+            cwd=d,
         )
         assert res.returncode == 0, res.stderr
-        doc = json.loads(res.stdout)
-        # default nibh training uses all pairs: identical measurement path
-        assert abs(doc["delta"] - train_doc["delta"]) <= 1e-12
+        # a train report's delta is measured over every pair, whatever pairs
+        # the model was trained on
+        for path, train_delta in [(model_path, train_doc["delta"]),
+                                  (sampled, json.loads(res.stdout)["delta"])]:
+            res = run_cli(
+                "eval", "--model", str(path), "--data", str(dataset_file),
+                "--metric", "delta", cwd=d,
+            )
+            assert res.returncode == 0, res.stderr
+            doc = json.loads(res.stdout)
+            assert abs(doc["delta"] - train_delta) <= 1e-12
 
     def test_threads_below_one_usage_error(self, dataset_file, trained):
         d, model_path, _ = trained
@@ -335,6 +368,21 @@ class TestDemo:
         assert len(prof) == 721
         proj = (tmp_path / "fig1.projections.csv").read_text().splitlines()
         assert len(proj) == 71
+
+
+    def test_fig1_searches_once(self, tmp_path, monkeypatch, capsys):
+        searches = []
+        search = baselines.grid_search_embedding_1d
+
+        def counted(points, norm_kind, grid_steps):
+            searches.append(norm_kind)
+            return search(points, norm_kind, grid_steps)
+
+        monkeypatch.setattr(baselines, "grid_search_embedding_1d", counted)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["demo-fig1", "--grid-steps", "90"]) == 0
+        assert searches == ["linf", "l2"]
+        assert json.loads(capsys.readouterr().out)["points"] == 70
 
 
 @pytest.mark.parametrize("args, message", [

@@ -32,6 +32,15 @@ def lexicographic_pairs(q):
     return [(i, j) for i in range(1, q) for j in range(i)]
 
 
+def violator_screen(tiles, lo, hi, lam, s):
+    """(i, j, c, h) of the pairs of rows [lo, hi) that the screen keeps for
+    residuals |lam d_H - c| above s, as the violator scan sets it."""
+    at = lam * np.arange(tiles.m + 1)
+    idx, c, h = tiles.screen(lo, hi, at - s, at + s)
+    i, j = np.divmod(idx, hi)
+    return i + lo, j, c, h
+
+
 def relaxed_pair_dists(w, points, i_idx, j_idx, alpha):
     # training's relaxed distances for a secant set below half of the pair
     # stream: the incidence layout, whose values equal the per-pair gather
@@ -302,13 +311,19 @@ class TestRowWalk:
         one_by_one = [pair_distances(self.pts, [i], [j])[0] for i, j in zip(i_idx, j_idx)]
         monkeypatch.setattr(core, "TILE_PAIRS", 3 * 7)  # three pairs per gather
         np.testing.assert_array_equal(pair_distances(self.pts, i_idx, j_idx), one_by_one)
-        # rows [5, 9) x columns [0, 9): off-stream entries are -inf, the rest
-        # screen the literal residuals within the margin
-        r = self.tiles.residuals(5, 9, 0.3)
-        for a, i in enumerate(range(5, 9)):
-            assert np.all(np.isneginf(r[a, i:]))
-            exact = self.tiles.exact_residuals(np.full(i, i), np.arange(i), 0.3)
-            assert np.abs(r[a, :i] - exact).max() <= self.tiles.margin(0.3)
+        # rows [5, 9) x columns [0, 9) screened for residuals |0.3 d_H - c|
+        # above s: no off-stream entry survives, and every pair whose literal
+        # residual exceeds s + margin does, with its Gram distance within the
+        # margin of the literal one and its exact Hamming distance
+        t = np.arange(secant_count(5), secant_count(9))
+        exact = self.tiles.exact_residuals(*decode_pair_indices(t), 0.3)
+        for s in [-1.0, *np.quantile(exact, [0.0, 0.5, 0.9])]:
+            i, j, c, h = violator_screen(self.tiles, 5, 9, 0.3, s)
+            assert np.all(j < i)
+            assert np.isin(t[exact > s + self.tiles.margin(0.3)],
+                           pair_linear_index(i, j)).all()
+            assert np.abs(c - pair_distances(self.pts, i, j)).max() <= self.tiles.margin()
+            np.testing.assert_array_equal(h, hamming_pairs(self.codes, i, j))
 
     @pytest.mark.parametrize("q", [2, 3, 23, 400])
     def test_blocks_cover_rows_in_order(self, q, monkeypatch):
@@ -338,11 +353,14 @@ def test_popcount_tiles_match_dense_hamming(m, monkeypatch):
         h = tiles.hamming(slice(lo, hi), slice(0, hi))
         assert np.issubdtype(h.dtype, np.integer)
         np.testing.assert_array_equal(h, dense[lo:hi, :hi])
-        # an integer scale must not wrap the integer tile around
-        r = tiles.residuals(lo, hi, 2)
-        exact = [tiles.exact_residuals(np.full(i, i), np.arange(i), 2) for i in range(lo, hi)]
-        for a, row in enumerate(exact):
-            assert np.abs(r[a, :lo + a] - row).max(initial=0.0) <= tiles.margin(2.0)
+        # at an integer scale the screen keeps every pair whose literal
+        # residual exceeds s + margin
+        t = np.arange(pair_linear_index(lo, 0), pair_linear_index(hi, 0))
+        exact = tiles.exact_residuals(*decode_pair_indices(t), 2)
+        s = float(np.median(exact))
+        i, j, _, h = violator_screen(tiles, lo, hi, 2, s)
+        assert np.isin(t[exact > s + tiles.margin(2.0)], pair_linear_index(i, j)).all()
+        np.testing.assert_array_equal(h, dense[i, j])
     queries = np.array([22, 4, 0, 4, 3, 17, 9])  # unsorted, repeated: 2 per block
     blocks = list(query_neighbors(pts, codes, queries, 2))
     assert len(blocks) == 4

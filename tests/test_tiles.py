@@ -14,6 +14,7 @@ import oracles
 from isohash import core, theory
 from isohash.colgen import scan_violators
 from isohash.core import Dataset, HashModel, hash_matrix, row_tiles
+from isohash.dataio import gen_translating_squares
 from isohash.metrics import DistortionReport
 from isohash.metrics import (
     _level_candidates,
@@ -61,17 +62,18 @@ def small_tiles(request, monkeypatch):
     """Small tiles, with the Gram distances to even and odd columns moved
     apart by a fraction of the margin: Gram values only screen, so an error
     within it changes nothing. (The Gram error itself stays below a third of
-    the margin.)"""
+    the margin.) The shift is made in distance units on the squared values
+    that every screen, and every Gram distance, is computed from."""
     monkeypatch.setattr(core, "TILE_PAIRS", SMALL_TILE)
-    ambient = core.PairTiles.ambient
+    gram = core.PairTiles.gram
 
     def shifted(self, rows, cols):
-        c = ambient(self, rows, cols)
+        c = np.sqrt(np.maximum(gram(self, rows, cols), 0.0))
         odd = np.arange(len(self.points))[cols] % 2
         c += request.param * self.margin() * (2.0 * odd - 1.0)
-        return np.maximum(c, 0.0, out=c)
+        return np.square(np.maximum(c, 0.0, out=c), out=c)
 
-    monkeypatch.setattr(core.PairTiles, "ambient", shifted)
+    monkeypatch.setattr(core.PairTiles, "gram", shifted)
 
 
 @pytest.mark.parametrize("q", small_tile_qs())
@@ -214,6 +216,38 @@ def test_rounded_tie_off_the_level_extremes(n_threads, monkeypatch):
     assert (rep.delta, (rep.worst_secant.i, rep.worst_secant.j)) == (3.0, (1, 0))
     bits = hash_matrix(model.w, pts).unpack()
     assert oracles.literal_row_scan(pts, bits, 4.0) == (3.0, (1, 0))
+
+
+@pytest.mark.parametrize("pts", [
+    # raw {0,1} pixels: integer Gram values, distances sqrt(k) tied many ways
+    gen_translating_squares(grid=8, square=3).points,
+    # near-duplicates at norm ~10^3: Gram values at or below 0
+    near_duplicates(30, seed=2),
+], ids=["translating_squares", "near_duplicates"])
+def test_squared_screen_keeps_the_distance_screen(pts, monkeypatch):
+    # the distance form keeps c <= below[h] or c >= above[h] on the Gram
+    # distances; with thresholds at exact distances of tile entries, where
+    # only the widening of the squared thresholds keeps the ties, at 0, below
+    # 0 and at +-inf, the squared screen keeps every entry it keeps
+    monkeypatch.setattr(core, "TILE_PAIRS", 256)  # several tiles and pieces
+    tiles = core.PairTiles(pts, hash_matrix(model_for(pts).w, pts))
+    levels = tiles.m + 1
+    rng = np.random.default_rng(7)
+    for lo, hi in row_tiles(len(pts)):
+        c = tiles.off_stream(tiles.ambient(slice(lo, hi), slice(0, hi)), lo, np.nan).ravel()
+        h = tiles.hamming(slice(lo, hi), slice(0, hi)).ravel()
+        seen = c[~np.isnan(c)]
+        for _ in range(40):
+            below, above = rng.choice(seen, levels), rng.choice(seen, levels)
+            special = rng.integers(0, levels, 4)
+            below[special[:2]] = rng.choice([np.inf, -np.inf, 0.0, -1.0], 2)
+            above[special[2:]] = rng.choice([np.inf, -np.inf, 0.0, -1.0], 2)
+            want = np.flatnonzero((c <= below[h]) | (c >= above[h]))
+            idx, got_c, got_h = tiles.screen(lo, hi, below, above)
+            assert np.isin(want, idx).all()
+            assert not np.isnan(c[idx]).any()  # never an off-stream entry
+            np.testing.assert_array_equal(got_c, c[idx])
+            np.testing.assert_array_equal(got_h, h[idx])
 
 
 def traced_peak(**kw):
