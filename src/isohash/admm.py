@@ -349,17 +349,17 @@ def _emit(progress, record: dict):
         progress(record)
 
 
-def _quantized_delta(w, points, i_idx, j_idx, c) -> float:
-    """Distortion of the quantized codes over the training secants: the
-    scale-fitted sup of |lambda d_H - c| (see :func:`train_nibh` for how it
-    relates to metrics.max_distortion)."""
+def _quantized_delta(w, points, i_idx, j_idx, c) -> tuple[Optional[float], float]:
+    """(lambda*, delta): the Chebyshev fit of |lambda d_H - c| over the
+    training secants (see :func:`train_nibh`); lambda* is None where no fit
+    exists, when every c or every d_H is 0."""
     codes = hash_matrix(w, points)
     dh = hamming_pairs(codes, i_idx, j_idx).astype(np.float64)
     if not np.any(c > 0):
-        return 0.0
+        return None, 0.0
     if not np.any(dh > 0):
-        return float(c.max())
-    return fit_lambda_chebyshev(dh, c)[1]
+        return None, float(c.max())
+    return fit_lambda_chebyshev(dh, c)
 
 
 def train_nibh(
@@ -369,17 +369,14 @@ def train_nibh(
     config: Optional[SolverConfig] = None,
     *,
     w0: Optional[np.ndarray] = None,
-    fixed_lambda: Optional[float] = None,
     progress: Optional[Callable] = None,
 ) -> tuple[HashModel, SolverState]:
     """Run the four-step ADMM loop until the augmented loss stabilizes at
     the final sigmoid rate.
 
     w0 defaults to the seeded Gaussian projection (identical to the LSH draw
-    for the same seed). With ``fixed_lambda`` the scale update is skipped,
-    which is how the column-generation driver freezes lambda after its first
-    solve. ``progress`` receives one record per iteration (a callable taking
-    a dict, or a file-like that gets JSON lines).
+    for the same seed). ``progress`` receives one record per iteration (a
+    callable taking a dict, or a file-like that gets JSON lines).
 
     The solve stops when the stop test passes (``converged``; it runs
     once alpha has reached alpha_end), when the divergence guard trips
@@ -389,15 +386,17 @@ def train_nibh(
 
     Returns the trained model and the solver state. Every solve, diverged
     or not, returns the iterate with the lowest delta in loss_history (the
-    later one on a tie), with that iterate's W, lambda and alpha;
-    ``state.best_iteration`` names it. The rest of the state describes the
-    last iterate. loss_history has one row per iteration run, (iteration,
-    sup_loss, delta): sup_loss is ||lambda v - c||_inf at the solver's
-    lambda, delta the scale-fitted distortion of the quantized codes over
-    the training secants. When the secants are every pair, that delta is
-    the one metrics.max_distortion reports for the model, to rounding; on
-    collapsed codes (every d_H = 0) it is max c, where max_distortion
-    raises.
+    later one on a tie), with that iterate's W and alpha, and as lambda its
+    lambda*, the Chebyshev fit of its codes over the training secants (the
+    solver's lambda where no fit exists); ``state.best_iteration`` names
+    it. The rest of the state describes the last iterate, ``state.lam``
+    being ADMM's least-squares lambda. loss_history has one row per
+    iteration run, (iteration, sup_loss, delta): sup_loss is
+    ||lambda v - c||_inf at the solver's lambda, delta the distortion of
+    the quantized codes over the training secants at their lambda*. When
+    the secants are every pair, that delta is the one
+    metrics.max_distortion reports for the model, to rounding; on collapsed
+    codes (every d_H = 0) it is max c, where max_distortion raises.
     """
     if config is None:
         config = SolverConfig()
@@ -426,12 +425,9 @@ def train_nibh(
     # lambda therefore has to START on the right scale. Fit it to the
     # initial embedding at the final rate, where the relaxation matches
     # the quantized codes the trained model will actually use.
-    if fixed_lambda is not None:
-        lam0 = float(fixed_lambda)
-    else:
-        v0 = relaxed_dists(w, config.alpha_end)
-        vv0 = float(v0 @ v0)
-        lam0 = max(_LAMBDA_MIN, float(v0 @ c) / vv0) if vv0 > 0 else 1.0
+    v0 = relaxed_dists(w, config.alpha_end)
+    vv0 = float(v0 @ v0)
+    lam0 = max(_LAMBDA_MIN, float(v0 @ c) / vv0) if vv0 > 0 else 1.0
 
     n_sec = len(secants)
     state = SolverState(
@@ -454,13 +450,11 @@ def train_nibh(
         state.w = w_step(state, secants, data, config, layout)
         v = relaxed_dists(state.w, state.alpha)
         state.u = u_step(state.lam * v - c - state.y, config.rho)
-        if fixed_lambda is None:
-            state.lam = lambda_step(state.u, v, c, state.y, _LAMBDA_MIN,
-                                    state.lam)
+        state.lam = lambda_step(state.u, v, c, state.y, _LAMBDA_MIN, state.lam)
         state.y = y_step(state.y, state.u, v, c, state.lam, config.eta)
 
         sup_loss = float(np.max(np.abs(state.lam * v - c)))
-        delta = _quantized_delta(state.w, pts, i_idx, j_idx, c)
+        lam_star, delta = _quantized_delta(state.w, pts, i_idx, j_idx, c)
         state.loss_history.append((it, sup_loss, delta))
         _emit(progress, {
             "iteration": it, "loss": sup_loss, "delta": delta,
@@ -468,7 +462,7 @@ def train_nibh(
         })
 
         if delta <= kept[0]:  # ties go to the later iterate
-            kept = (delta, state.w, state.lam, state.alpha, it)
+            kept = (delta, state.w, lam_star or state.lam, state.alpha, it)
         loss_min = min(loss_min, sup_loss)
         above_min_streak = above_min_streak + 1 \
             if sup_loss > _DIVERGENCE_FACTOR * loss_min else 0

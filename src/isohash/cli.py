@@ -7,7 +7,9 @@ deterministic given its flags and input files; wall-clock timings appear
 only in the manifest. Whatever the ``--algo`` and ``--secants``, the
 ``delta`` of a ``train`` report is the saved model's distortion over every
 pair of the training data at the refit scale, the number that
-``eval --metric delta`` prints for the same model and data.
+``eval --metric delta`` prints for the same model and data. ``check knn``
+judges the neighbor gaps against that same delta, whatever scale the model
+file stores: a positive scale changes no Hamming ranking.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
 5 check failure. A malformed flag value (``--bits`` or ``--threads`` below 1,

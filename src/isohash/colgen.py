@@ -2,6 +2,10 @@
 alternate streaming scans for violated pairs with warm-started re-solves
 until a full scan comes back clean.
 
+A scan prices every pair at the restricted problem's optimum, as in LP
+column generation: lambda* of the solve's codes over the resident secants
+and their largest residual delta_hat there.
+
 Memory never scales with the pair count: a scan walks the pair stream in
 tiles of the engine in :mod:`core` and keeps only the most violated pairs,
 the batch with the largest residuals, O(tile + batch_limit + Q) in all, and
@@ -73,7 +77,7 @@ class CgReport:
     violators_found: int
     init_size: int
     # per generation g = 0 (the initial solve) .. generations: dict(generation,
-    # active_size, violators_found, delta_hat, full_delta)
+    # active_size, violators_found, delta_hat, full_delta, lambda)
     history: list
     best_generation: int  # the generation whose model was returned
 
@@ -165,18 +169,22 @@ def train_nibh_cg(
 ) -> tuple[HashModel, CgReport]:
     """Column-generation training over the full pair universe.
 
-    Solves on an initial random subset, freezes the scale from that solve,
-    then repeatedly augments the active set with the ``violator_batch`` most
-    violated pairs of a full scan and re-solves warm-started from the
-    previous embedding (u, y restart at zero because the secant index set
-    changed). Every generation's solve is scanned, and its refit delta over
-    every pair is measured.
+    Solves on an initial random subset, then repeatedly augments the active
+    set with the ``violator_batch`` most violated pairs of a full scan and
+    re-solves warm-started from the previous embedding (u, y restart at zero
+    because the secant index set changed). Every generation's solve is
+    scanned at its model's lambda, the lambda* of its codes over the
+    resident secants, and delta_hat, their largest residual there; its
+    refit delta over every pair is measured.
 
     Terminates when a full scan finds no violator or max_generations is
     exhausted; ``fully_satisfied`` says which. A clean scan returns the
-    model it scanned. An exhausted budget returns the generation with the
-    lowest refit delta (the later one on a tie), and the report's
-    ``delta_hat`` and ``best_generation`` describe that generation.
+    model it scanned, with a certificate: every pair is within delta_hat at
+    lambda*, where no scale does better on the resident pairs, so delta_hat
+    is the model's refit delta over every pair. An exhausted budget returns
+    the generation with the lowest refit delta (the later one on a tie),
+    and the report's ``delta_hat`` and ``best_generation`` describe that
+    generation.
     """
     if config is None:
         config = CgConfig()
@@ -184,17 +192,15 @@ def train_nibh_cg(
     secants = SecantBatch.sample(data.points, config.init_sample_size,
                                  config.scan_seed)
     init_size = peak = len(secants)
-    lam_hat = None  # fitted by the first solve, frozen for the rest of the run
     w0 = None  # each re-solve warm-starts from the previous embedding
     history = []
     violators_total = 0
     best = (math.inf,)  # (full delta, generation, model, delta_hat)
     for gen in range(config.max_generations + 1):
-        model, _state = train_nibh(data, secants, m, config.inner, w0=w0,
-                                   fixed_lambda=lam_hat)
-        lam_hat, w0 = model.lam, model.w
+        model, _state = train_nibh(data, secants, m, config.inner, w0=w0)
+        w0 = model.w
         codes = hash_codes(model, data)
-        resid = np.abs(lam_hat * hamming_pairs(codes, secants.i, secants.j)
+        resid = np.abs(model.lam * hamming_pairs(codes, secants.i, secants.j)
                        - secants.c)
         delta_hat = float(resid.max())
         active = secants.subset(identify_active(
@@ -202,7 +208,7 @@ def train_nibh_cg(
         full_delta = max_distortion(model, data, n_threads=n_threads).delta
 
         violators, scanned_all = scan_violators(
-            codes, data, lam_hat, delta_hat, config.violator_batch,
+            codes, data, model.lam, delta_hat, config.violator_batch,
             n_threads=n_threads,
         )
         violators_total += len(violators)
@@ -216,6 +222,7 @@ def train_nibh_cg(
             "violators_found": len(violators),
             "delta_hat": delta_hat,
             "full_delta": full_delta,
+            "lambda": model.lam,
         }
         history.append(record)
         _emit(progress, record)

@@ -180,25 +180,20 @@ def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
 # worst-case distortion over a pair stream
 
 
-def max_distortion(
-    model: HashModel,
-    data: Dataset,
-    *,
-    lam: Optional[float] = None,
-    n_threads: int = 1,
-) -> DistortionReport:
-    """Worst-case distortion of a model over every pair of a dataset.
+def max_distortion(model: HashModel, data: Dataset, *,
+                   n_threads: int = 1) -> DistortionReport:
+    """Worst-case distortion of a model over every pair of a dataset, at
+    the refit scale lambda* (the metric's inf over lambda > 0), whatever
+    scale the model stores.
 
-    By default the scale is re-fitted (the metric's inf over lambda); pass
-    ``lam`` to evaluate at a fixed scale, e.g. the model's own. Every pair
-    counts, with its true ambient distance, in one tile pass
+    Every pair counts, with its true ambient distance, in one tile pass
     (:func:`_level_candidates`) whose lambda*, delta and worst secant are
     those of a literal scan. The distortion on a subset of secants (a
     training set, say) is the solver's bookkeeping, not this metric.
     """
     codes = hash_codes(model, data)
-    lo, hi, level, c, pos = _level_candidates(codes, data.points, lam, n_threads)
-    lam_star = _fit_extremes(lo, hi) if lam is None else float(lam)
+    lo, hi, level, c, pos = _level_candidates(codes, data.points, n_threads)
+    lam_star = _fit_extremes(lo, hi)
     resid = np.abs(lam_star * level - c)  # as PairTiles.exact_residuals
     at = np.flatnonzero(resid == resid.max())
     k = at[np.argmin(pos[at])]  # ties: the smallest stream position wins
@@ -220,27 +215,25 @@ def _fit_extremes(lo: np.ndarray, hi: np.ndarray) -> float:
     return fit_lambda_chebyshev(v, c)[0]
 
 
-def _level_candidates(codes: BinaryCodes, points: np.ndarray,
-                      lam: Optional[float], n_threads: int = 1):
+def _level_candidates(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1):
     """(lo, hi, level, c, pos): the smallest and largest literal distance at
     each Hamming level 0..M (inf and -inf where no pair is), and every pair
     within w of its level's lo or hi, one per (level, c), the first in the
     stream, with its position.
 
-    At a fixed lambda a pair at level h has residual |fl(a - c)|, a =
+    At any lambda a pair at level h has residual |fl(a - c)|, a =
     fl(lambda h), and fl(a - c) is monotone in c, so the level's largest
     residual is at lo or hi: the Chebyshev fit over the extremes is the fit
-    over all pairs, and delta is an extreme's residual. A pair off the
-    extremes ties with delta only by rounding a - c to the same float x as
-    an extreme, which puts c within ulp(x) <= eps delta of it. Every c <= 2r
-    (r the largest point norm), so delta <= |lam| M + 2r, and after a refit
-    delta* <= max c <= 2r; w = 8 eps (|lam| M + 2r), with lam = 0 on a refit,
-    covers both with room for the rounding of c and lambda*.
+    over all pairs, and delta* is an extreme's residual. A pair off the
+    extremes ties with delta* only by rounding a - c to the same float x as
+    an extreme, which puts c within ulp(x) <= eps delta* of it. Every
+    c <= 2r (r the largest point norm), and delta* <= max c, the residual
+    at lambda -> 0, so delta* <= 2r; w = 16 eps r covers that with room for
+    the rounding of c and lambda*.
     """
     tiles = PairTiles(points, codes)
     err, levels = tiles.margin(), codes.n_bits + 1
-    eps = np.finfo(np.float64).eps
-    w = 8.0 * eps * (abs(lam or 0.0) * codes.n_bits + 2.0 * tiles.rmax)
+    w = 16.0 * np.finfo(np.float64).eps * tiles.rmax
     pad = err + w
 
     def scan(tile_list):

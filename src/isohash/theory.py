@@ -93,16 +93,18 @@ def knn_sufficiency_check(model: HashModel, data: Dataset, queries=None,
     """Verify the deterministic kernel of the neighbor-preservation
     guarantee on a trained model.
 
-    delta is the fixed-scale distortion max |lambda d_H - d| over all pairs
-    (lambda from the model), scanned with ``n_threads`` threads. For each
-    query the gap is the margin between its k-th and (k+1)-th nearest
-    ambient distances; whenever that gap reaches 2 * delta, the triangle
-    inequality forces every ambient k-NN to sit within the Hamming k-NN
-    radius, so any violation is a bug (or a broken model) rather than bad
-    luck. Queries are checked a block at a time.
+    delta is the refit distortion over all pairs (metrics.max_distortion,
+    ``n_threads`` threads), whatever scale the model stores: the guarantee
+    holds at any lambda > 0, which scales every Hamming distance alike, and
+    is tightest at lambda*. For each query the gap is the
+    margin between its k-th and (k+1)-th nearest ambient distances;
+    whenever that gap reaches 2 * delta, the triangle inequality forces
+    every ambient k-NN to sit within the Hamming k-NN radius, so any
+    violation is a bug (or a broken model) rather than bad luck. Queries
+    are checked a block at a time.
     """
     queries = _check_queries(data, queries, k)
-    delta = max_distortion(model, data, lam=model.lam, n_threads=n_threads).delta
+    delta = max_distortion(model, data, n_threads=n_threads).delta
     codes = hash_codes(model, data)
 
     gaps, satisfied, preserved = [], [], []

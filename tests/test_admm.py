@@ -28,10 +28,11 @@ from isohash.core import (
     Dataset,
     SecantBatch,
     decode_pair_indices,
+    hamming_pairs,
     hash_matrix,
     random_projection_matrix,
 )
-from isohash.metrics import max_distortion
+from isohash.metrics import fit_lambda_chebyshev, max_distortion
 
 
 def all_secants(points):
@@ -445,6 +446,12 @@ class TestTrainNibh:
                             mean=raw.mean(axis=0), normalized=True)
         self.secants = all_secants(self.data.points)
 
+    def training_fit(self, model):
+        """(lambda*, delta) of the model's codes over the training secants."""
+        sec = self.secants
+        dh = hamming_pairs(hash_matrix(model.w, self.data.points), sec.i, sec.j)
+        return fit_lambda_chebyshev(dh.astype(np.float64), sec.c)
+
     def test_improves_on_random_init(self):
         cfg = SolverConfig(max_outer_iters=30, seed=3)
         m = 8
@@ -485,10 +492,10 @@ class TestTrainNibh:
             SolverConfig(max_outer_iters=best, seed=5))
         assert cut_state.iteration == best
         assert model.w.tobytes() == cut_state.w.tobytes()
-        assert (model.lam, model.alpha) == (cut_state.lam, cut_state.alpha)
-        sec = self.secants
-        assert admm._quantized_delta(model.w, self.data.points, sec.i, sec.j,
-                                     sec.c) == min(deltas)
+        assert (model.lam, model.alpha) == (cut.lam, cut_state.alpha)
+        # that iterate's lambda* over the training secants, where its delta
+        # is attained
+        assert self.training_fit(model) == (model.lam, min(deltas))
 
     def test_divergence_returns_lowest_delta_iterate(self, monkeypatch):
         # a guard this tight trips after three iterations above the minimum
@@ -500,12 +507,13 @@ class TestTrainNibh:
         assert len(state.loss_history) == state.iteration
         assert state.best_iteration < state.iteration
         # the first ``best_iteration`` iterations of the same solve end there
-        _, cut_state = train_nibh(
+        cut, cut_state = train_nibh(
             self.data, self.secants, 5,
             SolverConfig(max_outer_iters=state.best_iteration, seed=0))
         assert not cut_state.diverged
         assert model.w.tobytes() == cut_state.w.tobytes()
-        assert (model.lam, model.alpha) == (cut_state.lam, cut_state.alpha)
+        assert (model.lam, model.alpha) == (cut.lam, cut_state.alpha)
+        assert model.lam == self.training_fit(model)[0]
 
     def test_duplicated_point_zero_secant(self):
         pts = np.vstack([self.data.points[:10], self.data.points[0]])
@@ -554,11 +562,18 @@ class TestTrainNibh:
         assert model.alpha == state.alpha == 1.25 ** 2
         assert [rec["alpha"] for rec in records] == [1.0, 1.25, 1.25 ** 2]
 
-    def test_fixed_lambda_is_respected(self):
-        cfg = SolverConfig(max_outer_iters=8, seed=4)
-        model, state = train_nibh(self.data, self.secants, 4, cfg, fixed_lambda=0.375)
-        assert model.lam == 0.375
-        assert state.lam == 0.375
+    def test_collapsed_codes_keep_the_solvers_lambda(self):
+        # every secant joins x to 2x, which no hyperplane through the origin
+        # separates: every training d_H is 0 whatever W, so no lambda* exists
+        x = self.data.points[:6]
+        data = Dataset(np.vstack([x, 2.0 * x]))
+        sec = SecantBatch.from_pairs(data.points, np.arange(6, 12), np.arange(6))
+        records = []
+        model, state = train_nibh(data, sec, 4, SolverConfig(max_outer_iters=6, seed=1),
+                                  progress=records.append)
+        assert all(row[2] == sec.c.max() for row in state.loss_history)
+        assert state.best_iteration == state.iteration  # ties go to the later
+        assert model.lam == state.lam == records[-1]["lambda"] > 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,7 @@ class TestTrain:
         scan = metrics._level_candidates
 
         def counted(*args, **kwargs):
-            scans.append(args[2])  # the fixed lambda, None on a refit
+            scans.append(len(args[1]))  # the points scanned
             return scan(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "_level_candidates", counted)
@@ -230,7 +231,7 @@ class TestTrain:
         out = tmp_path / "lsh.model"
         assert cli.main(["train", "--data", str(dataset_file), "--algo", "lsh",
                          "--bits", "8", "--seed", "3", "--out", str(out)]) == 0
-        assert scans == [None]
+        assert scans == [60]
         doc = json.loads(capsys.readouterr().out)
         # the scale and delta of a separate fit and measurement
         data = cli._load_for_training(str(dataset_file))
@@ -443,6 +444,22 @@ class TestCheck:
             docs.append(capsys.readouterr().out)
         assert docs[0] == docs[1] and json.loads(docs[0])["passed"] is True
         assert threads == [1, 2]
+
+    def test_knn_measures_the_eval_delta(self, dataset_file, tmp_path, monkeypatch,
+                                         capsys):
+        # the model file stores lambda = 1, far from its lambda*: the check
+        # judges the gaps at the refit delta that eval reports
+        model = tmp_path / "m.model"
+        save_model(replace(lsh_model(16, 16, 3, data=load_any(dataset_file)),
+                           lam=1.0), model)
+        monkeypatch.chdir(tmp_path)  # the manifest goes to the working directory
+        data = ["--model", str(model), "--data", str(dataset_file)]
+        assert cli.main(["check", "knn", *data, "--k", "4"]) == 0
+        knn = json.loads(capsys.readouterr().out)
+        assert cli.main(["eval", *data, "--metric", "delta"]) == 0
+        delta = json.loads(capsys.readouterr().out)
+        assert delta["lambda_star"] != 1.0
+        assert knn["delta"] == delta["delta"]
 
     def test_knn_k_too_large_usage_error(self, dataset_file, tmp_path):
         out = tmp_path / "m.model"

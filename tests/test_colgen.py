@@ -26,7 +26,7 @@ from isohash.core import (
     secant_count,
 )
 from isohash.dataio import gen_random_dataset, gen_translating_squares, preprocess
-from isohash.metrics import max_distortion
+from isohash.metrics import fit_lambda_chebyshev, max_distortion
 
 
 def small_config(**kw):
@@ -216,9 +216,9 @@ class TestTrainCg:
             codes, data, model.lam, report.delta_hat, 1000
         )
         assert len(violators) == 0 and scanned_all
-        # independent full-stream recompute stays within delta_hat
-        rep = max_distortion(model, data, lam=model.lam)
-        assert rep.delta <= report.delta_hat * (1 + 1e-9)
+        # certificate: the clean scan at (lambda*, delta_hat) makes delta_hat
+        # the refit delta over every pair
+        assert max_distortion(model, data).delta == report.delta_hat
         # memory contract
         assert report.peak_resident_secants <= report.init_size + \
             report.generations * cfg.violator_batch
@@ -227,19 +227,26 @@ class TestTrainCg:
         assert len(lines) == len(report.history)
         rec = json.loads(lines[0])
         assert set(rec) == {"generation", "active_size", "violators_found",
-                            "delta_hat", "full_delta"}
+                            "delta_hat", "full_delta", "lambda"}
 
-    def test_lambda_frozen_after_first_solve(self):
+    def test_every_solve_prices_at_its_own_lambda_star(self):
         data = preprocess(gen_random_dataset(40, 8, seed=6).points)
         cfg = small_config(init_sample_size=100, violator_batch=60,
                            max_generations=10)
-        first, _ = train_nibh(
-            data, SecantBatch.sample(data.points, 100, cfg.scan_seed), 6,
-            cfg.inner)
+        sample = SecantBatch.sample(data.points, 100, cfg.scan_seed)
+        first, _ = train_nibh(data, sample, 6, cfg.inner)
         model, report = train_nibh_cg(data, 6, cfg)
-        # a re-solve's model carries the scale the first solve fitted
+        # the first scan prices at the first solve's lambda* over its sample,
+        # and delta_hat is the sample's distortion there
+        dh = hamming_pairs(hash_codes(first, data), sample.i, sample.j)
+        assert fit_lambda_chebyshev(dh.astype(np.float64), sample.c) == \
+            (report.history[0]["lambda"], report.history[0]["delta_hat"])
+        # every re-solve fits its own scale, and the model returned carries
+        # the one its scan priced at
+        lams = [rec["lambda"] for rec in report.history]
+        assert len(set(lams)) == len(lams) > 1
         assert report.best_generation > 0
-        assert model.lam == first.lam
+        assert model.lam == lams[report.best_generation]
 
     def test_generation_cap_flags_unsatisfied(self):
         # one generation with a tiny batch cannot cover all violators

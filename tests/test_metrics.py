@@ -104,23 +104,6 @@ class TestMaxDistortion:
         dh = int(np.abs(bits[worst.i] - bits[worst.j]).sum())
         assert abs(rep.lambda_star * dh - worst.c) == pytest.approx(rep.delta, rel=1e-12)
 
-    def test_fixed_lambda_mode(self):
-        rng = np.random.default_rng(22)
-        pts = rng.standard_normal((15, 5))
-        w = random_projection_matrix(4, 5, 1)
-        model = make_model(w)
-        data = Dataset(pts)
-        rep = max_distortion(model, data, lam=0.7)
-        bits = hash_matrix(w, pts).unpack()
-        dh = oracles.hamming_dense(bits)
-        worst = 0.0
-        for i in range(1, 15):
-            for j in range(i):
-                c = np.linalg.norm(pts[i] - pts[j])
-                worst = max(worst, abs(0.7 * dh[i, j] - c))
-        assert rep.delta == pytest.approx(worst, rel=1e-12)
-        assert rep.lambda_star == 0.7
-
     def test_threaded_scan_matches_serial(self):
         rng = np.random.default_rng(24)
         pts = rng.standard_normal((60, 6))
@@ -132,8 +115,7 @@ class TestMaxDistortion:
         assert a.worst_secant == b.worst_secant
         assert a.lambda_star == b.lambda_star
 
-    @pytest.mark.parametrize("lam", [None, 0.7])
-    def test_one_tile_pass(self, monkeypatch, lam):
+    def test_one_tile_pass(self, monkeypatch):
         passes = []
 
         def counted(fn, q, n_threads=1):
@@ -143,7 +125,7 @@ class TestMaxDistortion:
         monkeypatch.setattr(metrics, "map_tiles", counted)
         data = Dataset(np.random.default_rng(27).standard_normal((40, 5)))
         max_distortion(make_model(random_projection_matrix(6, 5, 7)), data,
-                       lam=lam, n_threads=2)
+                       n_threads=2)
         assert passes == [40]
 
     def test_test_data_pathway(self):

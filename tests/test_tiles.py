@@ -83,37 +83,22 @@ class TestGramCancellation:
         model = model_for(pts)
         return pts, Dataset(pts), model, hash_matrix(model.w, pts).unpack().astype(int)
 
-    @staticmethod
-    def lam_on_edge(pts, bits):
-        """A scale that sets the residual c - lam d_H of pair (2, 0) to a
-        whole multiple of 2 max |x| / 64. Its near-duplicates (1, 0) and
-        (3, 0) lie ~1e-7 from it, well inside the screen's margin, so the
-        screen keeps all three and only the literal distances decide."""
-        if len(pts) < 4 or not np.any(bits[2] != bits[0]):
-            return None
-        h = int(np.abs(bits[2] - bits[0]).sum())
-        c = float(np.linalg.norm(pts[2] - pts[0]))
-        edges = np.linspace(0.0, 2.0 * np.linalg.norm(pts, axis=1).max() * (1 + 1e-12), 65)
-        return (c - edges[int(c / edges[1])]) / h
-
     def test_max_distortion_matches_literal_scan(self, q, small_tiles):
         pts, data, model, bits = self.make(q)
         # the refit scale is the fit over literal distances of every pair
         lam = oracles.literal_refit_lambda(pts, bits)
-        on_edge = self.lam_on_edge(pts, bits)
-        for fixed in [None, lam, 1e-3] + ([] if on_edge is None else [on_edge]):
-            for n_threads in (1, 3):
-                rep = max_distortion(model, data, lam=fixed, n_threads=n_threads)
-                assert rep.lambda_star == (lam if fixed is None else fixed)
-                delta, worst = oracles.literal_row_scan(pts, bits, rep.lambda_star)
-                assert rep.delta == delta
-                assert (rep.worst_secant.i, rep.worst_secant.j) == worst
+        delta, worst = oracles.literal_row_scan(pts, bits, lam)
+        for n_threads in (1, 3):
+            rep = max_distortion(model, data, n_threads=n_threads)
+            assert rep.lambda_star == lam
+            assert rep.delta == delta
+            assert (rep.worst_secant.i, rep.worst_secant.j) == worst
 
     def test_level_extremes_match_literal(self, q, small_tiles):
         pts, data, model, bits = self.make(q)
         lo, hi = oracles.literal_level_extremes(pts, bits)
-        for lam, n_threads in [(None, 1), (None, 3), (0.5, 1), (0.5, 3)]:
-            got = _level_candidates(hash_matrix(model.w, pts), pts, lam, n_threads)
+        for n_threads in (1, 3):
+            got = _level_candidates(hash_matrix(model.w, pts), pts, n_threads)
             np.testing.assert_array_equal(got[0], lo)
             np.testing.assert_array_equal(got[1], hi)
 
@@ -196,26 +181,32 @@ def test_full_size_tile_boundary(q):
     pts = near_duplicates(q, seed=3)
     model = model_for(pts, seed=4)
     bits = hash_matrix(model.w, pts).unpack()
-    rep = max_distortion(model, Dataset(pts), lam=0.25, n_threads=2)
-    delta, worst = oracles.literal_row_scan(pts, bits, 0.25)
+    rep = max_distortion(model, Dataset(pts), n_threads=2)
+    lam = oracles.literal_refit_lambda(pts, bits)
+    delta, worst = oracles.literal_row_scan(pts, bits, lam)
+    assert rep.lambda_star == lam
     assert (rep.delta, (rep.worst_secant.i, rep.worst_secant.j)) == (delta, worst)
 
 
 @pytest.mark.parametrize("n_threads", [1, 3])
 def test_rounded_tie_off_the_level_extremes(n_threads, monkeypatch):
-    # at lam = 4 the level-1 pairs (1, 0) and (2, 0) both have residual 3.0
-    # after rounding; (2, 0) holds the level's smallest distance, but (1, 0)
-    # comes first in the stream. One row per tile puts them in different
-    # workers.
+    # the bits are the signs of x + y and x - y: level 2 across the x-axis
+    # origin, level 1 between an axis point and (0, 4). lambda* = 2 is where
+    # the level-2 pair (2, 0) at c = 1 meets the level-1 pair (4, 3) at c = 5,
+    # with delta* = 3; the level-2 pair (1, 0) at c = 1 + 2^-52 is off the
+    # extremes, but 4 - c rounds to 3.0, and it comes first in the stream.
+    # One row per tile puts (1, 0) and (2, 0) in different workers.
     monkeypatch.setattr(core, "TILE_PAIRS", 4)
-    pts = np.array([[0.0, 0.0], [1.0 + 2.0**-52, 0.0], [1.0, 0.0],
-                    [1.0 + 2.0**-50, 0.0]])
-    model = HashModel(w=np.array([[-1.0, 0.0]]), lam=1.0, alpha=1.0,
+    pts = np.array([[-0.5, 0.0], [0.5 + 2.0**-52, 0.0], [0.5, 0.0], [-3.0, 0.0],
+                    [0.0, 4.0]])
+    model = HashModel(w=np.array([[1.0, 1.0], [1.0, -1.0]]), lam=1.0, alpha=1.0,
                       mean=np.zeros(2), normalized=False)
-    rep = max_distortion(model, Dataset(pts), lam=4.0, n_threads=n_threads)
-    assert (rep.delta, (rep.worst_secant.i, rep.worst_secant.j)) == (3.0, (1, 0))
+    rep = max_distortion(model, Dataset(pts), n_threads=n_threads)
+    assert (rep.lambda_star, rep.delta) == (2.0, 3.0)
+    assert (rep.worst_secant.i, rep.worst_secant.j) == (1, 0)
     bits = hash_matrix(model.w, pts).unpack()
-    assert oracles.literal_row_scan(pts, bits, 4.0) == (3.0, (1, 0))
+    assert oracles.literal_refit_lambda(pts, bits) == 2.0
+    assert oracles.literal_row_scan(pts, bits, 2.0) == (3.0, (1, 0))
 
 
 @pytest.mark.parametrize("pts", [
@@ -250,25 +241,16 @@ def test_squared_screen_keeps_the_distance_screen(pts, monkeypatch):
             np.testing.assert_array_equal(got_h, h[idx])
 
 
-def traced_peak(**kw):
-    """tracemalloc peak of max_distortion on a 3000-point stream (4.5 M pairs)."""
+def test_refit_memory_is_tile_bounded():
+    # O(tile + Q): a few tile-sized arrays plus the codes, far below the
+    # 36 MB that one float64 row per pair of a 3000-point stream (4.5 M
+    # pairs) would take
     rng = np.random.default_rng(5)
     data = Dataset(rng.standard_normal((3000, 100)))
     model = model_for(data.points, m=16)
     tracemalloc.start()
     try:
-        max_distortion(model, data, **kw)
-        return tracemalloc.get_traced_memory()[1]
+        max_distortion(model, data)
+        assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
     finally:
         tracemalloc.stop()
-
-
-def test_fixed_lambda_scan_memory_is_tile_bounded():
-    # O(tile + Q): a few tile-sized arrays plus the codes, far below the
-    # 36 MB that one float64 row per pair of a 3000-point stream would take
-    assert traced_peak(lam=0.3) < 16 * 2**20
-
-
-def test_refit_memory_is_tile_bounded():
-    # the refit's per-level extremes pass has the scan's footprint
-    assert traced_peak() < 16 * 2**20
