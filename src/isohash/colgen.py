@@ -47,8 +47,9 @@ __all__ = [
 ]
 
 # a secant stays active when its quantized residual reaches (1 - _ACTIVE_TOL)
-# of delta_hat; at most _ACTIVE_CAP of them, the largest, stay
-_ACTIVE_TOL = 0.02
+# of delta_hat, at most _ACTIVE_CAP (the largest); a narrow band keeps only the
+# few that set delta_hat at lambda*, and re-solves on so few swing lambda*
+_ACTIVE_TOL = 0.5
 _ACTIVE_CAP = 200_000
 
 
