@@ -2,26 +2,33 @@
 
 Subcommands: ``train`` (nibh | nibh-cg | lsh), ``eval`` (delta | map | tau),
 ``demo-fig1``, ``check`` (lemma1 | knn). Every command prints exactly one
-JSON document to stdout (logs go to stderr), writes one run manifest, and is
-deterministic given its flags and input files; wall-clock timings appear
-only in the manifest. Whatever the ``--algo`` and ``--secants``, the
-``delta`` of a ``train`` report is the saved model's distortion over every
-pair of the training data at the refit scale, the number that
-``eval --metric delta`` prints for the same model and data. ``check knn``
-judges the neighbor gaps against that same delta, whatever scale the model
-file stores: a positive scale changes no Hamming ranking.
+JSON document to stdout (logs go to stderr), writes one run manifest (to
+``--manifest``, else ``<--out>.manifest.json`` for ``train`` and
+``<command>.manifest.json`` in the working directory for ``eval``,
+``demo-fig1``, ``check-lemma1`` and ``check-knn``), and is deterministic
+given its flags and input files; wall-clock timings appear only in the
+manifest. Whatever the ``--algo`` and ``--secants``, the ``delta`` of a
+``train`` report is the saved model's distortion over every pair of the
+training data at the refit scale, the number that ``eval --metric delta``
+prints for the same model and data. ``check knn`` judges the neighbor gaps
+against that same delta, whatever scale the model file stores: a positive
+scale changes no Hamming ranking.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
-5 check failure. A malformed flag value (``--bits`` or ``--threads`` below 1,
+5 check failure. A flag value that the parser or the library rejects exits
+2; a file, or a model and data pair, that the library cannot use exits 3.
+Usage errors: a malformed flag value (``--bits`` or ``--threads`` below 1,
 a ``--secants`` other than all, bre or sample:K with K >= 1, a solver or
 column-generation setting that ``SolverConfig`` or ``CgConfig`` rejects, a
 ``demo-fig1`` ``--grid-steps`` below 2 or ``--seed`` without the demo's
 contrast, a ``check lemma1`` ``--alpha`` or ``--sigma`` not positive or
 ``--samples`` below 10^4), a flag the chosen command or metric does not use,
 and a ``--k`` or ``--queries`` index or a ``--secants bre`` that the dataset
-cannot serve are usage errors; a queries file that does not parse as
-integers, a non-finite data value, and a zero row in a dataset flagged
-normalized are data errors.
+cannot serve. Data errors: a missing input file, a queries file that does
+not parse as integers, a non-finite data value, a zero row in a dataset
+flagged normalized, fewer than 2 points, a model header that is malformed or
+that ``HashModel`` rejects, data whose width is not the model's, and codes
+that collapse on the data. Neither prints to stdout or writes a manifest.
 """
 
 from __future__ import annotations
@@ -45,10 +52,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_CHECK_FAILED = 5
-
-
-class UsageError(Exception):
-    """A flag value that the configs or the loaded dataset reject (exit code 2)."""
 
 
 SECANT_SPEC = re.compile(r"all|bre|sample:0*[1-9][0-9]*")
@@ -90,14 +93,6 @@ class Manifest:
             fh.write("\n")
 
 
-def _emit(doc: dict):
-    print(json.dumps(doc, indent=2))
-
-
-def _log(msg: str):
-    print(msg, file=sys.stderr)
-
-
 def _open_progress(spec: str | None):
     if spec is None:
         return None, lambda: None
@@ -116,6 +111,9 @@ def _load_for_training(path: str) -> Dataset:
 
 def _load_for_model(path: str, model) -> Dataset:
     ds = dataio.load_any(path)
+    if ds.n != model.n:
+        raise dataio.DataFormatError(
+            f"{path}: data has {ds.n} columns, the model expects {model.n}")
     if ds.normalized:
         return ds
     return dataio.preprocess_for_model(ds.points, model)
@@ -126,10 +124,7 @@ def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
     if spec == "all":
         return SecantBatch.all_pairs(data.points)
     if spec == "bre":
-        try:
-            return dataio.bre_secant_selection(data)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return dataio.bre_secant_selection(data)
     return SecantBatch.sample(data.points, int(spec.split(":", 1)[1]), seed)
 
 
@@ -137,7 +132,7 @@ def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
 # train
 
 
-def cmd_train(args, parser, argv) -> int:
+def cmd_train(args, parser, man) -> tuple[dict, int]:
     cg_flags = [args.init_sample is not None, args.violator_batch is not None,
                 args.max_gens is not None]
     if args.algo != "nibh-cg" and any(cg_flags):
@@ -151,25 +146,21 @@ def cmd_train(args, parser, argv) -> int:
     if args.bits < 1:
         parser.error(f"--bits must be >= 1, got {args.bits}")
 
-    # the configs range-check their settings; a flag they reject is misused
-    try:
-        solver_cfg = SolverConfig(
-            rho=args.rho, eta=args.eta, alpha_start=args.alpha_start,
-            alpha_end=args.alpha_end, alpha_growth=args.alpha_growth,
-            max_outer_iters=args.max_iters, convergence_tol=args.tol,
-            seed=args.seed,
-        )
-        if args.algo == "nibh-cg":
-            given = {"init_sample_size": args.init_sample,
-                     "violator_batch": args.violator_batch,
-                     "max_generations": args.max_gens}
-            cg_cfg = colgen.CgConfig(
-                scan_seed=args.seed, inner=solver_cfg,
-                **{key: val for key, val in given.items() if val is not None})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # the configs range-check their settings before any file is read
+    solver_cfg = SolverConfig(
+        rho=args.rho, eta=args.eta, alpha_start=args.alpha_start,
+        alpha_end=args.alpha_end, alpha_growth=args.alpha_growth,
+        max_outer_iters=args.max_iters, convergence_tol=args.tol,
+        seed=args.seed,
+    )
+    if args.algo == "nibh-cg":
+        given = {"init_sample_size": args.init_sample,
+                 "violator_batch": args.violator_batch,
+                 "max_generations": args.max_gens}
+        cg_cfg = colgen.CgConfig(
+            scan_seed=args.seed, inner=solver_cfg,
+            **{key: val for key, val in given.items() if val is not None})
 
-    man = Manifest("train", argv)
     man.fingerprint("data", args.data)
     man.doc["seeds"]["seed"] = args.seed
 
@@ -236,9 +227,7 @@ def cmd_train(args, parser, argv) -> int:
     if args.algo == "nibh-cg":
         man.doc["config"]["cg"] = {key: val for key, val in vars(cg_cfg).items()
                                    if key != "inner"}
-    man.write(args.manifest or args.out + ".manifest.json")
-    _emit(report)
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return report, EXIT_DIVERGED if diverged else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +249,10 @@ def _read_queries(path: str | None):
     return queries
 
 
-def _check_queries(data: Dataset, queries, k: int, k_min: int = 1):
-    # the library's validator; what it rejects is a usage error here
-    try:
-        metrics._check_queries(data, queries, k, k_min)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def cmd_eval(args, parser, argv) -> int:
+def cmd_eval(args, parser, man) -> tuple[dict, int]:
     if args.metric == "delta" and (args.k is not None or args.queries is not None):
         parser.error("--k and --queries apply only to --metric map or tau; "
                      "delta is measured over all pairs")
-    man = Manifest("eval", argv)
     man.fingerprint("data", args.data)
     man.fingerprint("model", args.model)
 
@@ -284,8 +264,6 @@ def cmd_eval(args, parser, argv) -> int:
     k = args.k
     if k is None:
         k = {"delta": 0, "map": 50, "tau": 10}[args.metric]
-    if args.metric != "delta":
-        _check_queries(data, queries, k, k_min=2 if args.metric == "tau" else 1)
 
     with man.phase("eval"):
         if args.metric == "delta":
@@ -295,30 +273,21 @@ def cmd_eval(args, parser, argv) -> int:
         else:
             rep = metrics.kendall_tau_at_k(model, data, queries=queries, k=k)
 
-    doc = metrics.report_json(args.metric, model.m, rep)
-    man.write(args.manifest or "eval.manifest.json")
-    _emit(doc)
-    return EXIT_OK
+    return metrics.report_json(args.metric, model.m, rep), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # demo
 
 
-def cmd_demo_fig1(args, parser, argv) -> int:
-    man = Manifest("demo-fig1", argv)
+def cmd_demo_fig1(args, parser, man) -> tuple[dict, int]:
     man.doc["seeds"]["seed"] = args.seed
-
-    # what the demo rejects (too few grid steps, a seed without the
-    # contrast) is a misused flag; the generator's own grid searches are the
-    # demo's, and it returns only when the worst-case angle preserves the
-    # query's neighbor order and the average one does not
-    try:
-        with man.phase("generate"):
-            pts, labels, linf, l2 = baselines.make_fig1_dataset(
-                args.seed, args.grid_steps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # the generator's own grid searches are the demo's, and it returns only
+    # when the worst-case angle preserves the query's neighbor order and the
+    # average one does not
+    with man.phase("generate"):
+        pts, labels, linf, l2 = baselines.make_fig1_dataset(
+            args.seed, args.grid_steps)
 
     if args.out:
         prof_path = args.out + ".profile.csv"
@@ -345,45 +314,33 @@ def cmd_demo_fig1(args, parser, argv) -> int:
         "circle_square_misordered_l2": baselines.circle_square_misordered(
             pts, labels, l2.best_angle),
     }
-    man.write(args.manifest or "demo-fig1.manifest.json")
-    _emit(doc)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # checks
 
 
-def cmd_check(args, parser, argv) -> int:
-    man = Manifest(f"check-{args.check}", argv)
-    if args.check == "lemma1":
-        man.doc["seeds"]["seed"] = args.seed
-        try:
-            with man.phase("check"):
-                emp, bound = theory.lemma1_empirical(
-                    args.alpha, args.sigma, n_samples=args.samples, seed=args.seed)
-            doc = {"check": "lemma1", "alpha": args.alpha, "sigma": args.sigma,
-                   "samples": args.samples, "empirical_mean": emp,
-                   "bound": bound, "passed": True}
-            code = EXIT_OK
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        except AssertionError as exc:
-            doc = {"check": "lemma1", "alpha": args.alpha, "sigma": args.sigma,
-                   "samples": args.samples, "error": str(exc), "passed": False}
-            code = EXIT_CHECK_FAILED
-        man.write(args.manifest or "check-lemma1.manifest.json")
-        _emit(doc)
-        return code
+def cmd_check_lemma1(args, parser, man) -> tuple[dict, int]:
+    man.doc["seeds"]["seed"] = args.seed
+    doc = {"check": "lemma1", "alpha": args.alpha, "sigma": args.sigma,
+           "samples": args.samples}
+    try:
+        with man.phase("check"):
+            emp, bound = theory.lemma1_empirical(
+                args.alpha, args.sigma, n_samples=args.samples, seed=args.seed)
+    except AssertionError as exc:
+        return {**doc, "error": str(exc), "passed": False}, EXIT_CHECK_FAILED
+    return {**doc, "empirical_mean": emp, "bound": bound, "passed": True}, EXIT_OK
 
-    # knn sufficiency
+
+def cmd_check_knn(args, parser, man) -> tuple[dict, int]:
     man.fingerprint("data", args.data)
     man.fingerprint("model", args.model)
     with man.phase("load"):
         model = dataio.load_model(args.model)
         data = _load_for_model(args.data, model)
     queries = _read_queries(args.queries)
-    _check_queries(data, queries, args.k)
     with man.phase("check"):
         rep = theory.knn_sufficiency_check(model, data, queries=queries, k=args.k,
                                            n_threads=args.threads)
@@ -397,9 +354,7 @@ def cmd_check(args, parser, argv) -> int:
         "preserved": [bool(b) for b in rep.preserved],
         "passed": rep.ok,
     }
-    man.write(args.manifest or "check-knn.manifest.json")
-    _emit(doc)
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    return doc, EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -481,23 +436,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    handlers = {
+    command = f"check-{args.check}" if args.command == "check" else args.command
+    handler = {
         "train": cmd_train,
         "eval": cmd_eval,
         "demo-fig1": cmd_demo_fig1,
-        "check": cmd_check,
-    }
+        "check-lemma1": cmd_check_lemma1,
+        "check-knn": cmd_check_knn,
+    }[command]
+    man = Manifest(command, argv)
+    # the one place where an exception becomes an exit code
     try:
-        return handlers[args.command](args, parser, argv)
-    except UsageError as exc:
-        _log(f"usage error: {exc}")
-        return EXIT_USAGE
-    except (dataio.DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        _log(f"data error: {exc}")
-        return EXIT_DATA
+        doc, code = handler(args, parser, man)
+        man.write(args.manifest or (args.out if command == "train" else command)
+                  + ".manifest.json")
     except DivergenceError as exc:
-        _log(f"solver divergence: {exc}")
+        print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except (dataio.DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:
+        # the library rejected a flag value, or a flag the dataset cannot serve
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(json.dumps(doc, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ import numpy as np
 from scipy.special import expit
 
 __all__ = [
+    "DataFormatError",
     "Dataset",
     "SecantRef",
     "SecantBatch",
@@ -69,6 +70,12 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # domain types
+
+
+class DataFormatError(ValueError):
+    """A data or model file that cannot be used as given: one a loader
+    rejects, a model whose width differs from the data's, or a model whose
+    codes collapse on the data (every Hamming distance 0)."""
 
 
 @dataclass
@@ -432,10 +439,11 @@ def row_tiles(q: int) -> list[tuple[int, int]]:
 
 
 def map_tiles(fn, q: int, n_threads: int = 1) -> list:
-    """[fn(row_tiles(q)[w::n_threads]) for each worker w]; the caller is
-    worker 0, so it reuses memory it has just freed."""
-    parts = [row_tiles(q)[w::n_threads] for w in range(n_threads)]
-    with ThreadPoolExecutor(max_workers=max(1, n_threads - 1)) as pool:
+    """[fn(row_tiles(q)[w::n_threads]) for each worker w that gets a tile];
+    the caller is worker 0, so it reuses memory it has just freed."""
+    tiles = row_tiles(q)
+    parts = [tiles[w::n_threads] for w in range(min(n_threads, len(tiles)))]
+    with ThreadPoolExecutor(max_workers=max(1, len(parts) - 1)) as pool:
         rest = [pool.submit(fn, part) for part in parts[1:]]
         return [fn(parts[0])] + [f.result() for f in rest]
 

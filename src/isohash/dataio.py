@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HashModel, SecantBatch, secant_count
+from .core import DataFormatError, Dataset, HashModel, SecantBatch, secant_count
 
 __all__ = [
     "DataFormatError",
@@ -43,10 +43,6 @@ __all__ = [
 DATASET_MAGIC = b"NIBHDS1"
 _FLAG_NORMALIZED = 0x01
 MODEL_VERSION = 1
-
-
-class DataFormatError(ValueError):
-    """Malformed or inconsistent on-disk data."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +255,23 @@ def load_model(path) -> HashModel:
         raise DataFormatError(f"{path}: bad model header: {exc}") from None
     if header.get("version") != MODEL_VERSION:
         raise DataFormatError(f"{path}: unsupported model version {header.get('version')}")
-    m, n = int(header["M"]), int(header["N"])
-    payload = blob[nl + 1:]
-    if len(payload) != 8 * m * n:
-        raise DataFormatError(
-            f"{path}: W payload is {len(payload)} bytes, expected {8 * m * n}"
+    try:
+        m, n = int(header["M"]), int(header["N"])
+        payload = blob[nl + 1:]
+        if len(payload) != 8 * m * n:
+            raise DataFormatError(
+                f"W payload is {len(payload)} bytes, expected {8 * m * n}")
+        return HashModel(
+            w=np.frombuffer(payload, dtype="<f8").reshape(m, n).copy(),
+            lam=float(header["lambda"]),
+            alpha=float(header["alpha"]),
+            mean=np.array(header["mean"], dtype=np.float64),
+            normalized=bool(header["normalized"]),
         )
-    w = np.frombuffer(payload, dtype="<f8").reshape(m, n)
-    return HashModel(
-        w=w.copy(),
-        lam=float(header["lambda"]),
-        alpha=float(header["alpha"]),
-        mean=np.array(header["mean"], dtype=np.float64),
-        normalized=bool(header["normalized"]),
-    )
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: model header has no key {exc}") from None
+    except (TypeError, ValueError) as exc:  # HashModel's checks among them
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +314,19 @@ def load_idx(path) -> Dataset:
 
 def load_any(path) -> Dataset:
     """Dispatch on content: NIBHDS1 magic -> binary, IDX magic -> IDX,
-    otherwise CSV."""
+    otherwise CSV. A well-formed file whose points ``Dataset`` rejects (a
+    single point, say) is a DataFormatError too."""
     with open(path, "rb") as fh:
         head = fh.read(len(DATASET_MAGIC))
     if head == DATASET_MAGIC:
-        return load_binary(path)
-    if len(head) >= 4 and head[0] == 0 and head[1] == 0 and head[2] == 0x08:
-        return load_idx(path)
-    return load_csv(path)
+        load = load_binary
+    elif len(head) >= 4 and head[0] == 0 and head[1] == 0 and head[2] == 0x08:
+        load = load_idx
+    else:
+        load = load_csv
+    try:
+        return load(path)
+    except DataFormatError:
+        raise
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (
     BinaryCodes,
+    DataFormatError,
     Dataset,
     HashModel,
     PairTiles,
@@ -190,6 +191,8 @@ def max_distortion(model: HashModel, data: Dataset, *,
     (:func:`_level_candidates`) whose lambda*, delta and worst secant are
     those of a literal scan. The distortion on a subset of secants (a
     training set, say) is the solver's bookkeeping, not this metric.
+    Codes that collapse on the data (every d_H = 0 while some c > 0) raise
+    DataFormatError.
     """
     codes = hash_codes(model, data)
     lo, hi, level, c, pos = _level_candidates(codes, data.points, n_threads)
@@ -211,7 +214,7 @@ def _fit_extremes(lo: np.ndarray, hi: np.ndarray) -> float:
         if c.max(initial=0.0) == 0.0:
             # every pair coincides in both spaces: vacuously isometric
             return 1.0
-        raise ValueError(f"embedding collapsed; delta = max c = {c.max():g}")
+        raise DataFormatError(f"embedding collapsed; delta = max c = {c.max():g}")
     return fit_lambda_chebyshev(v, c)[0]
 
 

@@ -12,8 +12,9 @@ import pytest
 import isohash
 from isohash import admm, baselines, cli, metrics
 from isohash.baselines import lsh_model
-from isohash.core import map_tiles
-from isohash.dataio import gen_random_dataset, load_any, load_model, save_binary, save_model
+from isohash.core import Dataset, map_tiles
+from isohash.dataio import (gen_random_dataset, load_any, load_model, preprocess,
+                            save_binary, save_model)
 
 PACKAGE_ROOT = str(Path(isohash.__file__).resolve().parent.parent)
 
@@ -494,3 +495,116 @@ class TestManifest:
             argv = [*argv, "--manifest", str(path)]
             assert cli.main(argv) == 0, argv
             assert json.loads(path.read_text())["argv"] == argv
+
+
+def _unusable_inputs(d):
+    """{case: (argv, the text stderr must name)} for runs whose input files
+    cannot be used, written under d."""
+    def model(name, n=16, **header):
+        # two all-ones rows; a header value of None leaves its key out
+        head = {"version": 1, "M": 2, "N": n, "lambda": 1.0, "alpha": 1.0,
+                "normalized": False, "mean": [0.0] * n, **header}
+        head = {key: val for key, val in head.items() if val is not None}
+        (d / name).write_bytes(json.dumps(head).encode() + b"\n"
+                               + np.ones((2, n), "<f8").tobytes())
+        return str(d / name)
+
+    def points(name, data):
+        save_binary(data, d / name)
+        return str(d / name)
+
+    def train(data):
+        return ["train", "--data", data, "--algo", "lsh", "--bits", "4",
+                "--out", str(d / "m.model")]
+
+    def delta(model, data):
+        return ["eval", "--model", model, "--data", data, "--metric", "delta"]
+
+    def knn(model, data):
+        return ["check", "knn", "--model", model, "--data", data, "--k", "4"]
+
+    raw = gen_random_dataset(20, 3, seed=1).points
+    raw3, unit3 = points("raw3.ds", Dataset(raw)), points("unit3.ds", preprocess(raw))
+    raw16 = points("raw16.ds", gen_random_dataset(20, 16, seed=1))
+    # in the positive orthant an all-ones W gives every point the code 11
+    positive = points("positive.ds", Dataset(np.abs(raw) + 0.1))
+    one, idx = d / "one.ds", d / "one.idx"
+    one.write_bytes(b"NIBHDS1" + struct.pack("<QQB", 1, 3, 0) + bytes(12))
+    idx.write_bytes(bytes([0, 0, 8, 2]) + struct.pack(">II", 1, 4) + bytes(4))
+    return {
+        "binary with one point": (train(str(one)), str(one)),
+        "idx with one point": (train(str(idx)), str(idx)),
+        "header without lambda": (
+            delta(model("a.model", **{"lambda": None}), raw16), "a.model"),
+        "header with lambda 0": (
+            delta(model("b.model", **{"lambda": 0.0}), raw16), "b.model"),
+        "mean of the wrong length": (
+            delta(model("c.model", mean=[0.0] * 3), raw16), "c.model"),
+        "raw data narrower than the model": (delta(model("d.model"), raw3), raw3),
+        "normalized data narrower than the model": (
+            delta(model("e.model"), unit3), unit3),
+        "knn on data narrower than the model": (knn(model("f.model"), unit3), unit3),
+        "eval on collapsed codes": (
+            delta(model("g.model", n=3), positive), "collapsed"),
+        "knn on collapsed codes": (knn(model("h.model", n=3), positive), "collapsed"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "binary with one point", "idx with one point", "header without lambda",
+    "header with lambda 0", "mean of the wrong length",
+    "raw data narrower than the model", "normalized data narrower than the model",
+    "knn on data narrower than the model", "eval on collapsed codes",
+    "knn on collapsed codes",
+])
+def test_unusable_inputs_exit_3(case, tmp_path):
+    argv, named = _unusable_inputs(tmp_path)[case]
+    res = run_cli(*argv, cwd=tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+    assert res.stderr.startswith("data error: ") and named in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+class TestOutputFrame:
+    def test_default_manifest_paths(self, dataset_file, tmp_path, monkeypatch,
+                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        model = tmp_path / "m.model"
+        data = ["--model", str(model), "--data", str(dataset_file)]
+        for command, argv, manifest in [
+            ("train", ["train", "--data", str(dataset_file), "--algo", "lsh",
+                       "--bits", "10", "--out", str(model)], "m.model.manifest.json"),
+            ("eval", ["eval", *data, "--metric", "delta"], "eval.manifest.json"),
+            ("check-knn", ["check", "knn", *data, "--k", "4"],
+             "check-knn.manifest.json"),
+            ("check-lemma1", ["check", "lemma1", "--alpha", "10", "--sigma", "1",
+                              "--samples", "10000"], "check-lemma1.manifest.json"),
+            ("demo-fig1", ["demo-fig1", "--grid-steps", "90"],
+             "demo-fig1.manifest.json"),
+        ]:
+            assert cli.main(argv) == 0, argv
+            assert json.loads(capsys.readouterr().out)
+            assert json.loads((tmp_path / manifest).read_text())["command"] == command
+
+    @pytest.mark.parametrize("argv, code", [
+        (["demo-fig1", "--grid-steps", "1"], 2),
+        (["check", "lemma1", "--alpha", "0", "--sigma", "1"], 2),
+        (["eval", "--model", "m.model", "--data", "{data}", "--metric", "map",
+          "--k", "59"], 2),
+        # a flag is checked before the data file is read
+        (["train", "--data", "nope.ds", "--bits", "4", "--rho", "0",
+          "--out", "n.model"], 2),
+        (["train", "--data", "nope.ds", "--bits", "4", "--out", "n.model"], 3),
+        (["eval", "--model", "m.model", "--data", "nope.ds", "--metric", "delta"], 3),
+        (["check", "knn", "--model", "nope.model", "--data", "{data}"], 3),
+    ])
+    def test_errors_print_nothing_and_write_no_manifest(
+            self, argv, code, dataset_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_model(lsh_model(10, 16, 3, data=load_any(dataset_file)),
+                   tmp_path / "m.model")
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main([arg.format(data=dataset_file) for arg in argv]) == code
+        assert capsys.readouterr().out == ""
+        assert sorted(os.listdir(tmp_path)) == before

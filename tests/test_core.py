@@ -334,7 +334,14 @@ class TestRowWalk:
         assert all(hi == lo + 1 or (hi - lo) * hi <= 500 for lo, hi in tiles)
         for n_threads in (1, 2, 3, 5):
             parts = map_tiles(lambda part: part, q, n_threads)
-            assert parts == [tiles[w::n_threads] for w in range(n_threads)]
+            assert parts == [tiles[w::n_threads]
+                             for w in range(min(n_threads, len(tiles)))]
+
+    def test_one_worker_per_tile(self):
+        # three points make one tile: no thread starts for the other seven
+        calls = []
+        assert map_tiles(lambda part: calls.append(part) or len(part), 3, 8) == [1]
+        assert calls == [row_tiles(3)] == [[(1, 3)]]
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 130, 300])
