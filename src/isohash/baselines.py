@@ -1,9 +1,11 @@
 """Baselines and the worst-case-vs-average 1-D embedding demonstration.
 
 ``lsh_model`` draws Gaussian projections (the data-oblivious baseline; the
-same draw seeds the solver's W).  ``grid_search_embedding_1d`` finds the best
-1-D projection of 2-D points under either the worst-case (l-inf) or the
-average (l2) scaled-distortion objective by sweeping the line's angle.
+same draw seeds the solver's W), and ``lsh_fit`` gives that draw a dataset's
+preprocessing stats and its refit scale from one all-pairs distortion pass.
+``grid_search_embedding_1d`` finds the best 1-D projection of 2-D points
+under either the worst-case (l-inf) or the average (l2) scaled-distortion
+objective by sweeping the line's angle.
 ``make_fig1_dataset`` builds the three-cluster configuration on which the two
 objectives disagree about near-neighbor preservation.
 """
@@ -44,16 +46,10 @@ class GridSearchResult:
     profile: np.ndarray  # (grid_steps, 2) columns: angle, distortion
 
 
-def lsh_model(m: int, n: int, seed: int, data: Dataset | None = None) -> HashModel:
-    """Random-projection hashing: W has i.i.d. standard normal entries.
-
-    When training data is supplied, the model is :func:`lsh_fit`'s: it
-    inherits the data's preprocessing stats and its scale is the minimax
-    lambda over all its pairs. Otherwise lambda is 1 and the stats are
-    neutral.
-    """
-    if data is not None:
-        return lsh_fit(m, data, seed)[0]
+def lsh_model(m: int, n: int, seed: int) -> HashModel:
+    """Random-projection hashing: W has i.i.d. standard normal entries,
+    lambda is 1 and the preprocessing stats are neutral (:func:`lsh_fit`
+    fits them to a dataset)."""
     return HashModel(w=random_projection_matrix(m, n, seed), lam=1.0, alpha=10.0,
                      mean=np.zeros(n), normalized=False)
 

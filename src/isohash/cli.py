@@ -237,11 +237,10 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
 def _read_queries(path: str | None):
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
     try:
-        queries = [int(tok) for tok in tokens]
-    except ValueError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            queries = [int(tok) for tok in fh.read().split()]
+    except ValueError as exc:  # text that is not UTF-8 among them
         raise dataio.DataFormatError(
             f"{path}: query indices must be integers ({exc})") from None
     if not queries:

@@ -4,7 +4,9 @@ until a full scan comes back clean.
 
 A scan prices every pair at the restricted problem's optimum, as in LP
 column generation: lambda* of the solve's codes over the resident secants
-and their largest residual delta_hat there.
+and their largest residual delta_hat there. The same pass is the
+distortion pass of :mod:`metrics`, so it also measures the codes' refit
+delta over every pair: each generation walks the pair stream once.
 
 Memory never scales with the pair count: a scan walks the pair stream in
 tiles of the engine in :mod:`core` and keeps only the most violated pairs,
@@ -23,20 +25,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import metrics
 from .admm import SolverConfig, _emit, train_nibh
 from .core import (
     BinaryCodes,
     Dataset,
     HashModel,
-    PairTiles,
     SecantBatch,
     decode_pair_indices,
     hamming_pairs,
     hash_codes,
-    map_tiles,
-    pair_linear_index,
 )
-from .metrics import max_distortion
 
 __all__ = [
     "CgConfig",
@@ -102,50 +101,26 @@ def identify_active(resid: np.ndarray, delta_hat: float, active_tol: float,
 
 
 def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
-                   delta_hat: float, batch_limit: int,
-                   n_threads: int = 1) -> tuple[SecantBatch, bool]:
-    """Secants whose quantized residual exceeds delta_hat: the batch_limit
-    most violated of them, in stream order.
+                   delta_hat: float, batch_limit: int, n_threads: int = 1
+                   ) -> tuple[SecantBatch, metrics.DistortionReport]:
+    """Secants whose quantized residual exceeds delta_hat, the batch_limit
+    most violated of them in stream order, and the codes' refit
+    DistortionReport over every pair, from one all-pairs pass.
 
-    Every tile is screened (:meth:`core.PairTiles.screen`) for the pairs
-    whose Gram residual may exceed delta_hat less the engine's margin, and
-    their residuals are recomputed literally. Violators are ranked by that
-    literal residual |lam d_H - c|, largest first, ties to the smaller
+    The pass (:func:`metrics._level_candidates`) screens each tile once,
+    for violators and for the level extremes of the distortion report
+    together, and rechecks the survivors literally. Violators are ranked by
+    that literal residual |lam d_H - c|, largest first, ties to the smaller
     stream position, and each worker keeps only its batch_limit best, so
     memory is O(tile + batch_limit + Q) and any ``n_threads`` returns the
-    identical result.
-
-    Returns (violators, scanned_all); scanned_all is True exactly when no
-    pair violates.
+    identical result. No pair violates exactly when no violator returns.
     """
     if delta_hat < 0:
         raise ValueError("delta_hat must be nonnegative")
-
-    def top(r, t):
-        keep = np.lexsort((t, -r))[:batch_limit]
-        return r[keep], t[keep]
-
-    tiles = PairTiles(data.points, codes)
-    # |lam h - c| > s exactly when c < lam h - s or c > lam h + s
-    s = delta_hat - tiles.margin(lam)
-    at = lam * np.arange(codes.n_bits + 1)
-
-    def scan(tile_list):
-        r, t = np.empty(0), np.empty(0, dtype=np.int64)
-        for lo, hi in tile_list:
-            i, j = np.divmod(tiles.screen(lo, hi, at - s, at + s)[0], hi)
-            i += lo
-            exact = tiles.exact_residuals(i, j, lam)
-            hit = exact > delta_hat
-            r, t = top(np.concatenate([r, exact[hit]]),
-                       np.concatenate([t, pair_linear_index(i[hit], j[hit])]))
-        return r, t
-
-    parts = map_tiles(scan, data.q, n_threads)
-    _, t = top(*map(np.concatenate, zip(*parts)))
-    violators = SecantBatch.from_pairs(data.points,
-                                       *decode_pair_indices(np.sort(t)))
-    return violators, t.size == 0
+    *found, t = metrics._level_candidates(codes, data.points, n_threads, lam,
+                                          delta_hat, batch_limit)
+    violators = SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
+    return violators, metrics._refit_report(*found, data.q)
 
 
 def _union(active: SecantBatch, violators: SecantBatch) -> SecantBatch:
@@ -175,8 +150,8 @@ def train_nibh_cg(
     re-solves warm-started from the previous embedding (u, y restart at zero
     because the secant index set changed). Every generation's solve is
     scanned at its model's lambda, the lambda* of its codes over the
-    resident secants, and delta_hat, their largest residual there; its
-    refit delta over every pair is measured.
+    resident secants, and delta_hat, their largest residual there; the same
+    pass measures its refit delta over every pair (``full_delta``).
 
     Terminates when a full scan finds no violator or max_generations is
     exhausted; ``fully_satisfied`` says which. A clean scan returns the
@@ -195,7 +170,6 @@ def train_nibh_cg(
     init_size = peak = len(secants)
     w0 = None  # each re-solve warm-starts from the previous embedding
     history = []
-    violators_total = 0
     best = (math.inf,)  # (full delta, generation, model, delta_hat)
     for gen in range(config.max_generations + 1):
         model, _state = train_nibh(data, secants, m, config.inner, w0=w0)
@@ -206,16 +180,12 @@ def train_nibh_cg(
         delta_hat = float(resid.max())
         active = secants.subset(identify_active(
             resid, delta_hat, _ACTIVE_TOL, _ACTIVE_CAP))
-        full_delta = max_distortion(model, data, n_threads=n_threads).delta
-
-        violators, scanned_all = scan_violators(
-            codes, data, model.lam, delta_hat, config.violator_batch,
-            n_threads=n_threads,
-        )
-        violators_total += len(violators)
+        violators, full = scan_violators(codes, data, model.lam, delta_hat,
+                                         config.violator_batch, n_threads)
+        full_delta, clean = full.delta, len(violators) == 0
         # a clean scan certifies the model it scanned, which is kept whatever
         # its delta; otherwise the lowest delta so far, ties to the later
-        if scanned_all or full_delta <= best[0]:
+        if clean or full_delta <= best[0]:
             best = (full_delta, gen, model, delta_hat)
         record = {
             "generation": gen,
@@ -227,7 +197,7 @@ def train_nibh_cg(
         }
         history.append(record)
         _emit(progress, record)
-        if scanned_all or gen == config.max_generations:
+        if clean or gen == config.max_generations:
             break
 
         secants = _union(active, violators)
@@ -242,9 +212,9 @@ def train_nibh_cg(
         generations=gen,
         active_size=history[best_gen]["active_size"],
         peak_resident_secants=peak,
-        fully_satisfied=scanned_all,
+        fully_satisfied=clean,
         delta_hat=delta_hat,
-        violators_found=violators_total,
+        violators_found=sum(rec["violators_found"] for rec in history),
         init_size=init_size,
         history=history,
         best_generation=best_gen,

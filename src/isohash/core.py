@@ -17,16 +17,17 @@ the largest point norm; the dot-product forward-error bound through the
 sqrt, with room to spare). Each consumer recomputes literally the entries
 within twice the margin of what it decides on (a maximum, a threshold, a
 per-Hamming-level distance extreme, a k-th neighbor), so results are
-bit-identical to a literal pass. The all-pairs passes (the distortion pass
-and the violator scan) screen g itself against per-Hamming-level
-thresholds (:meth:`PairTiles.screen`) and take the square root of the
-survivors only. :func:`map_tiles` deals tiles to ``n_threads`` threads;
-the GEMMs and large ufuncs release the GIL. On a shared 2-vCPU Xeon host
-(N = 100, M = 16, one BLAS thread, medians of 5 to 21 calls) a refitting
-``metrics.max_distortion`` pass took 0.033-0.038 s at Q = 2000 with one
-thread and 0.025-0.040 s with two, and 0.63-0.79 s at Q = 10^4 with one
-thread and 0.45-0.46 s with two: what the second thread gains depends on
-how busy the host keeps the other core.
+bit-identical to a literal pass. The one all-pairs pass (the distortion
+pass, which also prices column generation's violators) screens g itself
+against per-Hamming-level thresholds (:meth:`PairTiles.screen`) and takes
+the square root of the survivors only. :func:`map_tiles` deals tiles to
+``n_threads`` threads; the GEMMs and large ufuncs release the GIL. On a
+shared 2-vCPU Xeon host (N = 100, M = 16, one BLAS thread, medians of 5
+to 21 calls) a refitting ``metrics.max_distortion`` pass took
+0.033-0.038 s at Q = 2000 with one thread and 0.025-0.040 s with two, and
+0.63-0.79 s at Q = 10^4 with one thread and 0.45-0.46 s with two: what
+the second thread gains depends on how busy the host keeps the other
+core.
 
 Everything here is stateless and thread-safe. Solver arithmetic is float64
 throughout; binary codes are bit-packed and compared with XOR + popcount.
@@ -359,7 +360,7 @@ class PairTiles:
     """Gram and Hamming tiles of one point set and its codes."""
 
     def __init__(self, points: np.ndarray, codes: BinaryCodes):
-        self.points, self.codes, self.m = points, codes, codes.n_bits
+        self.points, self.m = points, codes.n_bits
         self.sq = np.einsum("ij,ij->i", points, points)
         self.rmax = math.sqrt(float(self.sq.max(initial=0.0)))
         self.columns = np.ascontiguousarray(codes.packed.T)  # byte b of each code
@@ -424,11 +425,6 @@ class PairTiles:
         n = tile.shape[0]
         tile[:, lo:][np.arange(n)[:, None] <= np.arange(n)] = value
         return tile
-
-    def exact_residuals(self, i_idx, j_idx, lam: float) -> np.ndarray:
-        """Literal |lam d_H - c| of the pairs (i_idx, j_idx)."""
-        return np.abs(lam * hamming_pairs(self.codes, i_idx, j_idx)
-                      - pair_distances(self.points, i_idx, j_idx))
 
 
 def row_tiles(q: int) -> list[tuple[int, int]]:

@@ -253,6 +253,8 @@ def load_model(path) -> HashModel:
         header = json.loads(blob[:nl].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: bad model header: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: model header is not a JSON object")
     if header.get("version") != MODEL_VERSION:
         raise DataFormatError(f"{path}: unsupported model version {header.get('version')}")
     try:

@@ -11,10 +11,14 @@ screens squared Gram values against each level's thresholds
 (:meth:`core.PairTiles.screen`), so only the few pairs near an extreme get
 a distance and a literal recheck: at Q = 2000 (N = 100, M = 16, one BLAS
 thread, one worker) a refitting pass took 0.033-0.038 s on a shared
-2-vCPU Xeon host (see :mod:`core` for two workers and Q = 10^4). The
-neighbor metrics rank their queries a block at a time, one tile per block
-(:func:`core.query_neighbors`), and compare rankings through integer keys
-d_H Q + j (:func:`core.hamming_kth`).
+2-vCPU Xeon host (see :mod:`core` for two workers and Q = 10^4). The same
+pass prices column generation's violators: given a scale and a threshold,
+it also keeps the pairs whose literal residual exceeds it
+(:func:`colgen.scan_violators`), so the distortion pass and the violator
+scan are one walk of the pair stream. The neighbor metrics rank their
+queries a block at a time, one tile per block (:func:`core.query_neighbors`),
+and compare rankings through integer keys d_H Q + j
+(:func:`core.hamming_kth`).
 """
 
 from __future__ import annotations
@@ -194,35 +198,41 @@ def max_distortion(model: HashModel, data: Dataset, *,
     Codes that collapse on the data (every d_H = 0 while some c > 0) raise
     DataFormatError.
     """
-    codes = hash_codes(model, data)
-    lo, hi, level, c, pos = _level_candidates(codes, data.points, n_threads)
-    lam_star = _fit_extremes(lo, hi)
-    resid = np.abs(lam_star * level - c)  # as PairTiles.exact_residuals
+    *found, _ = _level_candidates(hash_codes(model, data), data.points, n_threads)
+    return _refit_report(*found, data.q)
+
+
+def _refit_report(lo, hi, level, c, pos, q: int) -> DistortionReport:
+    """The report of a :func:`_level_candidates` pass over q points: lambda*
+    fitted to the level extremes, and delta and the worst secant (ties to
+    the smallest stream position) from the kept pairs."""
+    held = np.flatnonzero(lo <= hi)  # the levels some pair sits at
+    v, ends = np.r_[held, held].astype(np.float64), np.r_[lo[held], hi[held]]
+    if np.any(v > 0):
+        lam_star = fit_lambda_chebyshev(v, ends)[0]
+    elif ends.max(initial=0.0) == 0.0:
+        lam_star = 1.0  # every pair coincides in both spaces: vacuously isometric
+    else:
+        raise DataFormatError(
+            f"embedding collapsed; delta = max c = {ends.max():g}")
+    resid = np.abs(lam_star * level - c)  # as the pass's literal recheck
     at = np.flatnonzero(resid == resid.max())
-    k = at[np.argmin(pos[at])]  # ties: the smallest stream position wins
+    k = at[np.argmin(pos[at])]
     wi, wj = decode_pair_indices(pos[k])
     return DistortionReport(float(resid[k]), lam_star,
                             SecantRef(int(wi), int(wj), float(c[k])),
-                            secant_count(data.q))
+                            secant_count(q))
 
 
-def _fit_extremes(lo: np.ndarray, hi: np.ndarray) -> float:
-    level = np.flatnonzero(lo <= hi)  # the levels some pair sits at
-    v = np.concatenate([level, level]).astype(np.float64)
-    c = np.concatenate([lo[level], hi[level]])
-    if not np.any(v > 0):
-        if c.max(initial=0.0) == 0.0:
-            # every pair coincides in both spaces: vacuously isometric
-            return 1.0
-        raise DataFormatError(f"embedding collapsed; delta = max c = {c.max():g}")
-    return fit_lambda_chebyshev(v, c)[0]
-
-
-def _level_candidates(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1):
-    """(lo, hi, level, c, pos): the smallest and largest literal distance at
-    each Hamming level 0..M (inf and -inf where no pair is), and every pair
-    within w of its level's lo or hi, one per (level, c), the first in the
-    stream, with its position.
+def _level_candidates(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1,
+                      lam: float = 0.0, delta_hat: float = math.inf,
+                      batch_limit: int = 0):
+    """(lo, hi, level, c, pos, violators): the smallest and largest literal
+    distance at each Hamming level 0..M (inf and -inf where no pair is),
+    every pair within w of its level's lo or hi, one per (level, c), the
+    first in the stream, with its position, and, in stream order, the
+    positions of the batch_limit pairs whose literal residual
+    |lam d_H - c| most exceeds delta_hat (ties to the smaller position).
 
     At any lambda a pair at level h has residual |fl(a - c)|, a =
     fl(lambda h), and fl(a - c) is monotone in c, so the level's largest
@@ -233,23 +243,41 @@ def _level_candidates(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1
     c <= 2r (r the largest point norm), and delta* <= max c, the residual
     at lambda -> 0, so delta* <= 2r; w = 16 eps r covers that with room for
     the rounding of c and lambda*.
+
+    A pair whose literal residual exceeds delta_hat has a Gram residual
+    above s = delta_hat - margin(lam), so each level's screen thresholds
+    also take in c < lam h - s and c > lam h + s, and every survivor of
+    either test is rechecked literally once. Each worker keeps only its
+    batch_limit largest residuals above delta_hat, so the pass needs
+    O(tile + batch_limit + Q) memory; the defaults price no pair.
     """
     tiles = PairTiles(points, codes)
     err, levels = tiles.margin(), codes.n_bits + 1
     w = 16.0 * np.finfo(np.float64).eps * tiles.rmax
     pad = err + w
+    # |lam h - c| > s exactly when c < lam h - s or c > lam h + s
+    at, s = lam * np.arange(levels), delta_hat - tiles.margin(lam)
+
+    def top(r, t):
+        keep = np.lexsort((t, -r))[:batch_limit]
+        return r[keep], t[keep]
 
     def scan(tile_list):
         lo, hi = np.full(levels, np.inf), np.full(levels, -np.inf)
         found = (np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
+        worst = (np.empty(0), np.empty(0, np.int64))
         for t0, t1 in tile_list:
-            # the entries that could fall within w of a running extreme ...
-            idx, c, h = tiles.screen(t0, t1, lo + pad, hi - pad)
-            # ... and of those, the ones that could fall within w of the new one
+            # the entries that could violate or fall within w of a running
+            # extreme ...
+            idx, c, h = tiles.screen(t0, t1, np.maximum(lo + pad, at - s),
+                                     np.minimum(hi - pad, at + s))
+            # ... and of those, the ones that could violate or fall within w
+            # of the new extreme
             below, above = lo.copy(), hi.copy()
             np.minimum.at(below, h, c + err)
             np.maximum.at(above, h, c - err)
-            keep = (c <= below[h] + pad) | (c >= above[h] - pad)
+            keep = ((c <= below[h] + pad) | (c >= above[h] - pad)
+                    | (np.abs(at[h] - c) >= s))
             i, j = np.divmod(idx[keep], t1)
             i += t0
             c, h = pair_distances(points, i, j), hamming_pairs(codes, i, j)
@@ -257,15 +285,20 @@ def _level_candidates(codes: BinaryCodes, points: np.ndarray, n_threads: int = 1
             np.maximum.at(hi, h, c)
             new = (h, c, pair_linear_index(i, j))
             found = _prune(lo, hi, w, *map(np.concatenate, zip(found, new)))
-        return lo, hi, found
+            r = np.abs(lam * h - c)
+            hit = r > delta_hat
+            worst = top(*map(np.concatenate, zip(worst, (r[hit], new[2][hit]))))
+        return lo, hi, found, worst
 
     parts = map_tiles(scan, len(points), n_threads)
     lo = np.minimum.reduce([part[0] for part in parts])
     hi = np.maximum.reduce([part[1] for part in parts])
     # a worker's running extremes never pass the final ones, so it kept a
-    # superset of the final pairs: the result is the same for any n_threads
+    # superset of the final pairs, and a superset of the final batch: the
+    # result is the same for any n_threads
     found = map(np.concatenate, zip(*(part[2] for part in parts)))
-    return lo, hi, *_prune(lo, hi, w, *found)
+    _, t = top(*map(np.concatenate, zip(*(part[3] for part in parts))))
+    return lo, hi, *_prune(lo, hi, w, *found), np.sort(t)
 
 
 def _prune(lo, hi, w, level, c, pos):

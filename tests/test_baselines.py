@@ -6,6 +6,7 @@ from isohash.baselines import (
     DEMO_DATASET_SEED,
     circle_square_misordered,
     grid_search_embedding_1d,
+    lsh_fit,
     lsh_model,
     make_fig1_dataset,
     nn_order_preserved,
@@ -36,7 +37,7 @@ class TestLshModel:
     def test_lambda_fitted_on_data(self):
         rng = np.random.default_rng(11)
         data = preprocess(rng.standard_normal((40, 12)))
-        model = lsh_model(6, 12, seed=1, data=data)
+        model = lsh_fit(6, data, 1)[0]
         assert model.lam > 0 and model.lam != 1.0
         assert model.normalized
         np.testing.assert_array_equal(model.mean, data.mean)
@@ -47,7 +48,7 @@ class TestLshModel:
             data = preprocess(np.random.default_rng(12).standard_normal((60, 12)))
         else:  # many tied distances
             data = preprocess(gen_translating_squares(grid=8, square=3).points)
-        model = lsh_model(8, data.n, seed=2, data=data)
+        model = lsh_fit(8, data, 2)[0]
         assert model.lam == max_distortion(model, data).lambda_star
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import isohash
 from isohash import admm, baselines, cli, metrics
-from isohash.baselines import lsh_model
+from isohash.baselines import lsh_fit
 from isohash.core import Dataset, map_tiles
 from isohash.dataio import (gen_random_dataset, load_any, load_model, preprocess,
                             save_binary, save_model)
@@ -122,8 +122,8 @@ class TestTrain:
             self, dataset_file, tmp_path, monkeypatch, capsys):
         out = tmp_path / "m.model"
         with monkeypatch.context() as mp:
-            # train_nibh_cg measures through its own binding; the command
-            # itself must not scan again
+            # training measures every generation's delta in its violator
+            # scan; neither it nor the command may call max_distortion
             def rescan(*args, **kwargs):
                 raise AssertionError("cmd_train rescanned every pair")
 
@@ -236,7 +236,7 @@ class TestTrain:
         doc = json.loads(capsys.readouterr().out)
         # the scale and delta of a separate fit and measurement
         data = cli._load_for_training(str(dataset_file))
-        model = lsh_model(8, data.n, 3, data=data)
+        model = lsh_fit(8, data, 3)[0]
         assert doc["lambda"] == model.lam == load_model(out).lam
         assert doc["delta"] == metrics.max_distortion(model, data).delta
 
@@ -429,7 +429,7 @@ class TestCheck:
     def test_knn_threads_reach_the_scan(self, dataset_file, tmp_path, monkeypatch,
                                         capsys):
         model = tmp_path / "m.model"
-        save_model(lsh_model(10, 16, 3, data=load_any(dataset_file)), model)
+        save_model(lsh_fit(10, load_any(dataset_file), 3)[0], model)
         threads = []
 
         def spy(fn, q, n_threads=1):
@@ -451,7 +451,7 @@ class TestCheck:
         # the model file stores lambda = 1, far from its lambda*: the check
         # judges the gaps at the refit delta that eval reports
         model = tmp_path / "m.model"
-        save_model(replace(lsh_model(16, 16, 3, data=load_any(dataset_file)),
+        save_model(replace(lsh_fit(16, load_any(dataset_file), 3)[0],
                            lam=1.0), model)
         monkeypatch.chdir(tmp_path)  # the manifest goes to the working directory
         data = ["--model", str(model), "--data", str(dataset_file)]
@@ -482,7 +482,7 @@ class TestManifest:
             self, dataset_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["prog", "--flag"])
         model = tmp_path / "m.model"
-        save_model(lsh_model(10, 16, 3, data=load_any(dataset_file)), model)
+        save_model(lsh_fit(10, load_any(dataset_file), 3)[0], model)
         data = ["--model", str(model), "--data", str(dataset_file)]
         for name, argv in [
             ("eval", ["eval", *data, "--metric", "delta"]),
@@ -531,6 +531,11 @@ def _unusable_inputs(d):
     one, idx = d / "one.ds", d / "one.idx"
     one.write_bytes(b"NIBHDS1" + struct.pack("<QQB", 1, 3, 0) + bytes(12))
     idx.write_bytes(bytes([0, 0, 8, 2]) + struct.pack(">II", 1, 4) + bytes(4))
+    listed, quoted, latin = d / "i.model", d / "j.model", d / "q.txt"
+    listed.write_bytes(b"[1]\n" + bytes(8))
+    quoted.write_bytes(b'"x"\n' + bytes(8))
+    latin.write_bytes("1 2 3 é\n".encode("latin-1"))
+    queries = ["--queries", str(latin)]
     return {
         "binary with one point": (train(str(one)), str(one)),
         "idx with one point": (train(str(idx)), str(idx)),
@@ -547,6 +552,12 @@ def _unusable_inputs(d):
         "eval on collapsed codes": (
             delta(model("g.model", n=3), positive), "collapsed"),
         "knn on collapsed codes": (knn(model("h.model", n=3), positive), "collapsed"),
+        "header that is a JSON list": (delta(str(listed), raw16), "i.model"),
+        "header that is a JSON string": (delta(str(quoted), raw16), "j.model"),
+        "map queries not UTF-8": (
+            [*delta(model("k.model"), raw16)[:-1], "map", *queries], str(latin)),
+        "knn queries not UTF-8": ([*knn(model("l.model"), raw16), *queries],
+                                  str(latin)),
     }
 
 
@@ -555,7 +566,8 @@ def _unusable_inputs(d):
     "header with lambda 0", "mean of the wrong length",
     "raw data narrower than the model", "normalized data narrower than the model",
     "knn on data narrower than the model", "eval on collapsed codes",
-    "knn on collapsed codes",
+    "knn on collapsed codes", "header that is a JSON list",
+    "header that is a JSON string", "map queries not UTF-8", "knn queries not UTF-8",
 ])
 def test_unusable_inputs_exit_3(case, tmp_path):
     argv, named = _unusable_inputs(tmp_path)[case]
@@ -602,7 +614,7 @@ class TestOutputFrame:
     def test_errors_print_nothing_and_write_no_manifest(
             self, argv, code, dataset_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        save_model(lsh_model(10, 16, 3, data=load_any(dataset_file)),
+        save_model(lsh_fit(10, load_any(dataset_file), 3)[0],
                    tmp_path / "m.model")
         before = sorted(os.listdir(tmp_path))
         assert cli.main([arg.format(data=dataset_file) for arg in argv]) == code

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isohash import colgen, core
+from isohash import colgen, core, metrics
 from isohash.admm import SolverConfig, train_nibh
 from isohash.colgen import (
     CgConfig,
@@ -23,6 +23,7 @@ from isohash.core import (
     hash_matrix,
     pair_distances,
     random_projection_matrix,
+    row_tiles,
     secant_count,
 )
 from isohash.dataio import gen_random_dataset, gen_translating_squares, preprocess
@@ -121,16 +122,12 @@ class TestScanViolators:
         self.codes = hash_matrix(self.w, self.data.points)
 
     def test_infinite_delta_no_violators(self):
-        violators, scanned_all = scan_violators(
-            self.codes, self.data, 1.0, math.inf, 100
-        )
-        assert len(violators) == 0 and scanned_all
+        violators, _ = scan_violators(self.codes, self.data, 1.0, math.inf, 100)
+        assert len(violators) == 0
 
     def test_zero_delta_everything_violates(self):
-        violators, scanned_all = scan_violators(
-            self.codes, self.data, 1.0, 0.0, 40
-        )
-        assert len(violators) == 40 and not scanned_all
+        violators, _ = scan_violators(self.codes, self.data, 1.0, 0.0, 40)
+        assert len(violators) == 40
         resid = np.abs(1.0 * hamming_pairs(self.codes, violators.i, violators.j)
                        - violators.c)
         assert np.all(resid > 0)
@@ -138,9 +135,8 @@ class TestScanViolators:
     def test_matches_exhaustive_filter(self):
         lam = 0.4
         delta_hat = 1.1
-        violators, scanned_all = scan_violators(
-            self.codes, self.data, lam, delta_hat, 10_000
-        )
+        violators, _ = scan_violators(self.codes, self.data, lam, delta_hat,
+                                      10_000)
         got = set(zip(violators.i.tolist(), violators.j.tolist()))
         want = set()
         for i in range(1, 50):
@@ -150,13 +146,12 @@ class TestScanViolators:
                 c = float(np.linalg.norm(self.data.points[i] - self.data.points[j]))
                 if abs(lam * dh - c) > delta_hat:
                     want.add((i, j))
-        assert got == want
-        assert not scanned_all  # violators exist, so the flag stays False
+        assert got == want and len(violators) > 0
 
     def test_threaded_matches_serial(self):
-        a, sa = scan_violators(self.codes, self.data, 0.4, 1.0, 37)
-        b, sb = scan_violators(self.codes, self.data, 0.4, 1.0, 37, n_threads=3)
-        assert sa == sb
+        a, ra = scan_violators(self.codes, self.data, 0.4, 1.0, 37)
+        b, rb = scan_violators(self.codes, self.data, 0.4, 1.0, 37, n_threads=3)
+        assert ra == rb
         np.testing.assert_array_equal(a.i, b.i)
         np.testing.assert_array_equal(a.j, b.j)
 
@@ -181,12 +176,11 @@ class TestScanViolators:
         assert len(ties) >= 4  # batches that split a tie
         for k in [*ties[::len(ties) // 4], len(ranked) + 5]:
             for n_threads in (1, 2, 3):
-                got, clean = scan_violators(codes, data, lam, delta_hat, k,
-                                            n_threads=n_threads)
+                got, _ = scan_violators(codes, data, lam, delta_hat, k,
+                                        n_threads=n_threads)
                 # the k largest, ties to the smaller stream position, in
                 # stream order
                 np.testing.assert_array_equal(got.keys(), sorted(ranked[:k]))
-                assert not clean
 
 
 class TestUnion:
@@ -212,10 +206,9 @@ class TestTrainCg:
         assert report.fully_satisfied, "CG should satisfy all pairs at desk scale"
         # termination soundness: a fresh full scan at the final state is clean
         codes = hash_codes(model, data)
-        violators, scanned_all = scan_violators(
-            codes, data, model.lam, report.delta_hat, 1000
-        )
-        assert len(violators) == 0 and scanned_all
+        violators, _ = scan_violators(codes, data, model.lam, report.delta_hat,
+                                      1000)
+        assert len(violators) == 0
         # certificate: the clean scan at (lambda*, delta_hat) makes delta_hat
         # the refit delta over every pair
         assert max_distortion(model, data).delta == report.delta_hat
@@ -257,6 +250,30 @@ class TestTrainCg:
         assert len(set(lams)) > 1
         assert report.best_generation > 0
         assert model.lam == lams[report.best_generation]
+
+    def test_one_pair_pass_per_generation(self, monkeypatch):
+        # a generation's violator scan is also its refit distortion pass:
+        # one walk of the pair stream, one screen of each tile
+        passes, screens = [], []
+        level_candidates, screen = metrics._level_candidates, core.PairTiles.screen
+
+        def counted_pass(*args, **kwargs):
+            passes.append(args[0])
+            return level_candidates(*args, **kwargs)
+
+        def counted_screen(self, *args):
+            screens.append(args[:2])
+            return screen(self, *args)
+
+        monkeypatch.setattr(metrics, "_level_candidates", counted_pass)
+        monkeypatch.setattr(core.PairTiles, "screen", counted_screen)
+        monkeypatch.setattr(core, "TILE_PAIRS", 256)  # several tiles a pass
+        data = preprocess(gen_random_dataset(40, 8, seed=6).points)
+        cfg = small_config(init_sample_size=100, violator_batch=60,
+                           max_generations=3)
+        _, report = train_nibh_cg(data, 6, cfg)
+        assert len(passes) == report.generations + 1
+        assert screens == row_tiles(data.q) * len(passes)
 
     def test_generation_cap_flags_unsatisfied(self):
         # one generation with a tiny batch cannot cover all violators

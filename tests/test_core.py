@@ -316,7 +316,9 @@ class TestRowWalk:
         # residual exceeds s + margin does, with its Gram distance within the
         # margin of the literal one and its exact Hamming distance
         t = np.arange(secant_count(5), secant_count(9))
-        exact = self.tiles.exact_residuals(*decode_pair_indices(t), 0.3)
+        i, j = decode_pair_indices(t)
+        exact = np.abs(0.3 * hamming_pairs(self.codes, i, j)
+                       - pair_distances(self.pts, i, j))
         for s in [-1.0, *np.quantile(exact, [0.0, 0.5, 0.9])]:
             i, j, c, h = violator_screen(self.tiles, 5, 9, 0.3, s)
             assert np.all(j < i)
@@ -363,7 +365,8 @@ def test_popcount_tiles_match_dense_hamming(m, monkeypatch):
         # at an integer scale the screen keeps every pair whose literal
         # residual exceeds s + margin
         t = np.arange(pair_linear_index(lo, 0), pair_linear_index(hi, 0))
-        exact = tiles.exact_residuals(*decode_pair_indices(t), 2)
+        i, j = decode_pair_indices(t)
+        exact = np.abs(2 * hamming_pairs(codes, i, j) - pair_distances(pts, i, j))
         s = float(np.median(exact))
         i, j, _, h = violator_screen(tiles, lo, hi, 2, s)
         assert np.isin(t[exact > s + tiles.margin(2.0)], pair_linear_index(i, j)).all()

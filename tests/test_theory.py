@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isohash.baselines import lsh_model
+from isohash.baselines import lsh_fit, lsh_model
 from isohash.core import Dataset, HashModel
 from isohash.dataio import preprocess
 from isohash.theory import (
@@ -60,7 +60,7 @@ class TestKnnSufficiency:
         centers[2, 1] = 200.0
         points = centers[rng.integers(0, 3, 60)] + 0.1 * rng.standard_normal((60, 20))
         data = preprocess(points)
-        model = lsh_model(16, 20, seed=4, data=data)
+        model = lsh_fit(16, data, 4)[0]
         # k one less than the smallest cluster, so the gap is the
         # inter-cluster margin
         labels = np.argmin(
@@ -74,7 +74,7 @@ class TestKnnSufficiency:
     def test_small_gaps_excluded_not_asserted(self):
         rng = np.random.default_rng(13)
         data = preprocess(rng.standard_normal((30, 10)))
-        model = lsh_model(4, 10, seed=5, data=data)  # few bits: delta is large
+        model = lsh_fit(4, data, 5)[0]  # few bits: delta is large
         rep = knn_sufficiency_check(model, data, k=3)
         # queries below the gap threshold are reported via per_query_gap only
         assert rep.per_query_gap.shape == (30,)

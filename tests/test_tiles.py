@@ -114,13 +114,15 @@ class TestGramCancellation:
         # thresholds halfway between distinct residuals, the lowest ones set
         # by near-duplicate pairs 1e-7 apart, and one above them all
         mids = 0.5 * (levels[1:] + levels[:-1])
+        # the same pass measures the codes' refit distortion
+        distortion = max_distortion(model, data)
         for delta_hat in [*mids[[0, len(mids) // 3, -1]], 2.0 * levels[-1]]:
             for n_threads in (1, 3):
-                got, clean = scan_violators(codes, data, lam, delta_hat, len(pairs),
-                                            n_threads=n_threads)
+                got, rep = scan_violators(codes, data, lam, delta_hat, len(pairs),
+                                          n_threads=n_threads)
                 want = {p for p, r in resid.items() if r > delta_hat}
                 assert set(zip(got.i.tolist(), got.j.tolist())) == want
-                assert clean == (not want)
+                assert rep == distortion
 
     def test_neighbor_metrics_match_oracles(self, q, small_tiles):
         pts, data, model, bits = self.make(q)
