@@ -155,9 +155,10 @@ class _IncidencePairs:
             shape=(k, q),
         )
         # B^T in CSR, each point's secants in ascending order; ``scatter``
-        # refills its values with the signed residuals
+        # refills its values with the signed residuals, gathered through an
+        # intp copy of its int32 indices, which would cast on every call
         self.bt = self.b.T.tocsr()
-        self.sign = self.bt.data.copy()
+        self.sign, self.cols = self.bt.data.copy(), self.bt.indices.astype(np.intp)
 
     def dists(self, s):
         """Relaxed distances v, and the differences B S that ``scatter``
@@ -169,7 +170,7 @@ class _IncidencePairs:
         """P = B^T (r * B S) as (B^T diag(r)) (B S): per point, the sum of
         its signed pair terms in secant order, and (+-r) d = +-(r d)
         exactly, so P equals the per-pair product bit for bit."""
-        np.multiply(self.sign, r[self.bt.indices], out=self.bt.data)
+        np.multiply(self.sign, r[self.cols], out=self.bt.data)
         return self.bt @ d
 
 

@@ -283,12 +283,8 @@ def hash_matrix(w: np.ndarray, points: np.ndarray) -> BinaryCodes:
 
 
 def hash_codes(model: HashModel, data: Dataset) -> BinaryCodes:
-    """Binary codes for a dataset already preprocessed with the model's stats."""
-    if data.n != model.n:
-        raise ValueError(
-            f"dimension mismatch: data is {data.points.shape}, "
-            f"model W is {model.w.shape}"
-        )
+    """Binary codes for a dataset already preprocessed with the model's stats
+    (:func:`hash_matrix` rejects data whose width is not the model's)."""
     return hash_matrix(model.w, data.points)
 
 
@@ -300,7 +296,7 @@ def hamming_pairs(codes: BinaryCodes, i_idx, j_idx) -> np.ndarray:
     """Vectorized Hamming distances for index arrays (i_idx, j_idx): the
     popcount of the XOR of packed rows, a 64-bit word at a time, which equals
     the squared l2 distance of the unpacked codes."""
-    x = codes.words[i_idx] ^ codes.words[j_idx]
+    x = codes.words.take(i_idx, axis=0) ^ codes.words.take(j_idx, axis=0)
     return np.bitwise_count(x).sum(axis=1, dtype=np.int64)
 
 
@@ -339,13 +335,16 @@ def decode_pair_indices(t) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_distances(points: np.ndarray, i_idx, j_idx) -> np.ndarray:
     """Ambient l2 distances for the given pairs by the literal expression
-    sqrt(sum((x_i - x_j)^2)), gathering one tile of coordinates at a time."""
+    sqrt(sum((x_i - x_j)^2)), gathering one tile of coordinates at a time
+    with ``take`` (half the cost of fancy indexing); the tile keeps its size
+    as its gathers set glibc's mmap threshold, which training speed follows."""
     points = np.asarray(points, dtype=np.float64)
     i_idx, j_idx = np.asarray(i_idx), np.asarray(j_idx)
     out = np.empty(i_idx.size)
     step = max(1, TILE_PAIRS // points.shape[1])
     for s in range(0, i_idx.size, step):
-        d = points[i_idx[s:s + step]] - points[j_idx[s:s + step]]
+        d = points.take(i_idx[s:s + step], axis=0)
+        d -= points.take(j_idx[s:s + step], axis=0)
         out[s:s + step] = np.sqrt(np.einsum("ij,ij->i", d, d))
     return out
 

@@ -97,6 +97,14 @@ def w_loss_grad_loop(w, points, i_idx, j_idx, c, u, y, lam, alpha):
     return loss, grad
 
 
+def gathered_pair_distances(points, i_idx, j_idx):
+    """Literal l2 distances of the pairs (i_idx, j_idx) in one fancy-indexed
+    gather: sqrt(sum((x_i - x_j)^2)) with the row sums by einsum."""
+    pts = np.asarray(points, dtype=np.float64)
+    d = pts[np.asarray(i_idx)] - pts[np.asarray(j_idx)]
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
 def hamming_dense(bits):
     """Dense Q x Q Hamming matrix from an unpacked 0/1 code matrix."""
     b = np.asarray(bits, dtype=np.int64)

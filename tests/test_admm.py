@@ -252,6 +252,7 @@ class TestWStep:
     @pytest.mark.parametrize("pairs", [
         [(5, 2), (3, 0), (5, 2), (7, 1), (3, 0), (5, 2), (6, 5)],  # duplicates
         [(4, 1)],  # one secant
+        [(k + 1, k) for k in range(7)],  # points 1..6 each as i and as j
     ])
     def test_incidence_scatter_bit_identical(self, pairs):
         # B^T diag(r) (B S) sums the same secants in the same order as the

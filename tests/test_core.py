@@ -25,7 +25,7 @@ from isohash.core import (
     sigmoid,
 )
 
-from oracles import hamming_dense, sample_pair_indices_unique
+from oracles import gathered_pair_distances, hamming_dense, sample_pair_indices_unique
 
 
 def lexicographic_pairs(q):
@@ -274,6 +274,70 @@ class TestPairDistances:
         for t in range(3):
             want = np.linalg.norm(pts[i_idx[t]] - pts[j_idx[t]])
             assert got[t] == pytest.approx(want, rel=1e-12)
+
+
+class TestPairGathers:
+    """The pair kernels gather rows with ``take``; every value must equal
+    the fancy-indexed gather bit for bit, whatever form the indices take."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(62)
+        self.pts = rng.standard_normal((31, 7)) * rng.uniform(0.01, 100.0, (31, 1))
+        self.codes = BinaryCodes.from_bits(rng.integers(0, 2, size=(31, 130)))
+        self.i = rng.integers(0, 31, size=40)  # unsorted, with repeats
+        self.j = rng.integers(0, 31, size=40)
+
+    def forms(self):
+        i, j = self.i, self.j
+        return {
+            "int64": (i, j),
+            "repeated": (np.full(9, i[0]), np.full(9, j[0])),
+            "int32": (i.astype(np.int32), j.astype(np.int32)),
+            "list": (i.tolist(), j.tolist()),
+            "i_equals_j": (i, i),
+            "negative": (i - 31, j),
+        }
+
+    @pytest.mark.parametrize("form", ["int64", "repeated", "int32", "list",
+                                      "i_equals_j", "negative"])
+    def test_kernels_equal_fancy_gather(self, form):
+        i, j = self.forms()[form]
+        c = pair_distances(self.pts, i, j)
+        assert c.dtype == np.float64 and c.shape == (len(i),)
+        np.testing.assert_array_equal(c, gathered_pair_distances(self.pts, i, j))
+        words = self.codes.words
+        h = hamming_pairs(self.codes, i, j)
+        assert h.dtype == np.int64
+        np.testing.assert_array_equal(h, np.bitwise_count(words[i] ^ words[j]).sum(1))
+
+    @pytest.mark.parametrize("tile", [1, 7, 50, 7 * 40, 1 << 18])
+    def test_chunk_boundaries(self, monkeypatch, tile):
+        # 50 // 7 = 7 pairs a gather: chunks of 7, ..., 7, 5 over 40 pairs;
+        # a tile below N still gathers one pair at a time
+        monkeypatch.setattr(core, "TILE_PAIRS", tile)
+        np.testing.assert_array_equal(pair_distances(self.pts, self.i, self.j),
+                                      gathered_pair_distances(self.pts, self.i, self.j))
+
+    @pytest.mark.parametrize("bad", [31, -32])
+    def test_out_of_range_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(core, "TILE_PAIRS", 50)
+        i, j = self.i.copy(), self.j.copy()
+        i[-1] = bad  # in the last of six gathers
+        with pytest.raises(IndexError):
+            pair_distances(self.pts, i, j)
+        with pytest.raises(IndexError):
+            pair_distances(self.pts, j, i)
+        with pytest.raises(IndexError):
+            hamming_pairs(self.codes, i, j)
+        with pytest.raises(IndexError):
+            hamming_pairs(self.codes, j, i)
+
+    @pytest.mark.parametrize("empty", [np.empty(0, np.int64), []])
+    def test_empty(self, empty):
+        c = pair_distances(self.pts, empty, empty)
+        h = hamming_pairs(self.codes, empty, empty)
+        assert c.shape == h.shape == (0,)
+        assert c.dtype == np.float64 and h.dtype == np.int64
 
 
 class TestRowWalk:
