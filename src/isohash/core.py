@@ -22,22 +22,27 @@ pass, which also prices column generation's violators) screens g itself
 against per-Hamming-level thresholds (:meth:`PairTiles.screen`) and takes
 the square root of the survivors only. :func:`map_tiles` deals tiles to
 ``n_threads`` threads; the GEMMs and large ufuncs release the GIL. On a
-shared 2-vCPU Xeon host (N = 100, M = 16, one BLAS thread, medians of 5
-to 21 calls) a refitting ``metrics.max_distortion`` pass took
-0.033-0.038 s at Q = 2000 with one thread and 0.025-0.040 s with two, and
-0.63-0.79 s at Q = 10^4 with one thread and 0.45-0.46 s with two: what
-the second thread gains depends on how busy the host keeps the other
-core.
+shared 2-vCPU Xeon host (N = 100, M = 16, one BLAS thread, medians of 3
+to 11 calls, each on a new Dataset) a refitting ``metrics.max_distortion``
+pass took 0.036-0.044 s at Q = 2000 with one thread and 0.039-0.047 s
+with two, and 0.84-0.96 s at Q = 10^4 with one thread and 0.48-0.54 s
+with two: what the second thread gains depends on how busy the host keeps
+the other core.
 
-Everything here is stateless and thread-safe. Solver arithmetic is float64
+Everything here is thread-safe and stateless but for a memo on each
+:class:`Dataset` instance: its last :func:`metrics.max_distortion` report and
+query ranking (:func:`query_neighbors`, O(|queries| k) values), each used
+while a sha256 digest of the points' shape and bytes matches; two threads
+can at worst compute an entry twice. Solver arithmetic is float64
 throughout; binary codes are bit-packed and compared with XOR + popcount.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -90,6 +95,7 @@ class Dataset:
     points: np.ndarray
     mean: Optional[np.ndarray] = None
     normalized: bool = False
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -114,6 +120,12 @@ class Dataset:
                 raise ValueError(
                     f"normalized=True but row {bad} has norm {float(norms[bad])!r}"
                 )
+
+    def _recall(self, name: str, *key):
+        """(key led by a digest of the points, what _memo[name] holds for it or None)"""
+        key = (hashlib.sha256(self.points.tobytes()).digest(), self.points.shape, *key)
+        held = self._memo.get(name, (None, None))
+        return key, held[1] if held[0] == key else None
 
     @property
     def q(self) -> int:
@@ -244,18 +256,6 @@ class BinaryCodes:
         words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
         words[:, :packed.shape[1]] = packed
         self.words = words.view(np.uint64)
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "BinaryCodes":
-        bits = np.asarray(bits)
-        if bits.ndim != 2:
-            raise ValueError(f"bits must be Q x M, got shape {bits.shape}")
-        if bits.size and not np.isin(bits, (0, 1)).all():
-            raise ValueError("code entries must be 0 or 1")
-        return cls(np.packbits(bits.astype(np.uint8), axis=1), bits.shape[1])
-
-    def unpack(self) -> np.ndarray:
-        return np.unpackbits(self.packed, axis=1, count=self.n_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +436,8 @@ def row_tiles(q: int) -> list[tuple[int, int]]:
 def map_tiles(fn, q: int, n_threads: int = 1) -> list:
     """[fn(row_tiles(q)[w::n_threads]) for each worker w that gets a tile];
     the caller is worker 0, so it reuses memory it has just freed."""
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     tiles = row_tiles(q)
     parts = [tiles[w::n_threads] for w in range(min(n_threads, len(tiles)))]
     with ThreadPoolExecutor(max_workers=max(1, len(parts) - 1)) as pool:
@@ -443,36 +445,46 @@ def map_tiles(fn, q: int, n_threads: int = 1) -> list:
         return [fn(parts[0])] + [f.result() for f in rest]
 
 
-def query_neighbors(points: np.ndarray, codes: BinaryCodes, queries, k: int
+def query_neighbors(data: Dataset, codes: BinaryCodes, queries, k: int
                     ) -> Iterator[tuple[np.ndarray, ...]]:
-    """Rank the queries a block (one tile) at a time: yield (block, nearest,
-    dist, h), where row r of ``nearest`` holds the k points nearest to query
+    """Rank the queries, then yield (block, nearest, dist, h) a block (one
+    tile) at a time: row r of ``nearest`` holds the k points nearest to query
     block[r], nearest first with ties broken by ascending index, ``dist``
     their literal distances, and ``h`` is the block's integer Hamming tile.
     The candidates within twice the margin of a row's k-th Gram distance
     get literal row norms (the einsum of :func:`pair_distances` differs in
     the last bit on tied data) and are ordered by (query, distance, index).
+    ``data`` keeps the ranking at the largest k asked for these queries; its
+    first k columns rank at k, as no candidate dropped at k can beat them.
     """
+    points, queries = data.points, np.asarray(queries, dtype=np.int64)
     tiles = PairTiles(points, codes)
     slack, step = 2.0 * tiles.margin(), max(1, TILE_PAIRS // len(points))
-    # literal norms an eighth of a tile of coordinates at a time
-    piece = max(1, TILE_PAIRS // (8 * points.shape[1]))
-    queries = np.asarray(queries, dtype=np.int64)
+    key, ranked = data._recall("ranking", queries.tobytes())
+    if ranked is None or ranked[0].shape[1] < k:
+        # literal norms an eighth of a tile of coordinates at a time
+        piece, blocks = max(1, TILE_PAIRS // (8 * points.shape[1])), []
+        for s in range(0, queries.size, step):
+            block = queries[s:s + step]
+            rows = np.arange(block.size)
+            c = tiles.ambient(block, slice(None))
+            c[rows, block] = np.inf  # not a neighbor of itself
+            kth = np.partition(c, k - 1, axis=1)[:, k - 1]
+            row, near = np.nonzero(c <= (kth + slack)[:, None])
+            del c
+            dist = np.concatenate([np.linalg.norm(
+                points[near[t:t + piece]] - points[block[row[t:t + piece]]], axis=1)
+                for t in range(0, near.size, piece)])
+            # row r's candidates, k or more, start at row.searchsorted(r)
+            first = row.searchsorted(rows)[:, None] + np.arange(k)
+            take = np.lexsort((near, dist, row))[first]
+            blocks.append((near[take], dist[take]))
+        ranked = tuple(np.concatenate(a) for a in zip(*blocks))
+        data._memo["ranking"] = key, ranked
     for s in range(0, queries.size, step):
         block = queries[s:s + step]
-        rows = np.arange(block.size)
-        c = tiles.ambient(block, slice(None))
-        c[rows, block] = np.inf  # not a neighbor of itself
-        kth = np.partition(c, k - 1, axis=1)[:, k - 1]
-        row, near = np.nonzero(c <= (kth + slack)[:, None])
-        del c
-        dist = np.concatenate([np.linalg.norm(
-            points[near[t:t + piece]] - points[block[row[t:t + piece]]], axis=1)
-            for t in range(0, near.size, piece)])
-        # row r's candidates, k or more, start at row.searchsorted(r)
-        first = row.searchsorted(rows)[:, None] + np.arange(k)
-        take = np.lexsort((near, dist, row))[first]
-        yield block, near[take], dist[take], tiles.hamming(block, slice(None))
+        yield (block, *(a[s:s + step, :k].copy() for a in ranked),
+               tiles.hamming(block, slice(None)))
 
 
 def hamming_kth(h: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:

@@ -9,22 +9,22 @@ Chebyshev fit over those extremes; delta and the worst secant come from the
 kept pairs; all three equal a literal scan's, bit for bit. The pass
 screens squared Gram values against each level's thresholds
 (:meth:`core.PairTiles.screen`), so only the few pairs near an extreme get
-a distance and a literal recheck: at Q = 2000 (N = 100, M = 16, one BLAS
-thread, one worker) a refitting pass took 0.033-0.038 s on a shared
-2-vCPU Xeon host (see :mod:`core` for two workers and Q = 10^4). The same
+a distance and a literal recheck (:mod:`core` gives timings). The same
 pass prices column generation's violators: given a scale and a threshold,
 it also keeps the pairs whose literal residual exceeds it
 (:func:`colgen.scan_violators`), so the distortion pass and the violator
 scan are one walk of the pair stream. The neighbor metrics rank their
-queries a block at a time, one tile per block (:func:`core.query_neighbors`),
+queries and take a Hamming tile per block (:func:`core.query_neighbors`),
 and compare rankings through integer keys d_H Q + j
-(:func:`core.hamming_kth`).
+(:func:`core.hamming_kth`). A Dataset keeps the last delta report and
+query ranking (see :mod:`core`), so delta is measured, and a query set
+ranked, once per Dataset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -196,10 +196,18 @@ def max_distortion(model: HashModel, data: Dataset, *,
     those of a literal scan. The distortion on a subset of secants (a
     training set, say) is the solver's bookkeeping, not this metric.
     Codes that collapse on the data (every d_H = 0 while some c > 0) raise
-    DataFormatError.
+    DataFormatError. ``data`` keeps the last report with the codes it
+    measured, so measuring those codes again is a lookup of a copy.
     """
-    *found, _ = _level_candidates(hash_codes(model, data), data.points, n_threads)
-    return _refit_report(*found, data.q)
+    if n_threads < 1:  # before the lookup, which would not notice it
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    codes = hash_codes(model, data)
+    key, report = data._recall("distortion", codes.packed.tobytes(), codes.n_bits)
+    if report is None:
+        *found, _ = _level_candidates(codes, data.points, n_threads)
+        report = _refit_report(*found, data.q)
+        data._memo["distortion"] = key, report
+    return replace(report)
 
 
 def _refit_report(lo, hi, level, c, pos, q: int) -> DistortionReport:
@@ -348,7 +356,7 @@ def map_at_k(
     queries = _check_queries(data, queries, k)
     codes = hash_codes(model, data)
     hits = []
-    for block, ambient, _, h in query_neighbors(data.points, codes, queries, k):
+    for block, ambient, _, h in query_neighbors(data, codes, queries, k):
         # an ambient neighbor is a Hamming one when its key is within the k-th
         kth = hamming_kth(h, block, k)
         hits.append((_hamming_keys(h, ambient) <= kth[:, None]).sum(axis=1))
@@ -368,7 +376,7 @@ def kendall_tau_at_k(
     codes = hash_codes(model, data)
     upper = np.triu_indices(k, 1)
     concordant = []
-    for block, members, _, h in query_neighbors(data.points, codes, queries, k):
+    for block, members, _, h in query_neighbors(data, codes, queries, k):
         # members in ambient order; the distinct keys h Q + j order them by
         # Hamming distance, ties by index: +1 per concordant pair a < b, -1
         # per discordant one

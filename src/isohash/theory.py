@@ -96,19 +96,19 @@ def knn_sufficiency_check(model: HashModel, data: Dataset, queries=None,
     delta is the refit distortion over all pairs (metrics.max_distortion,
     ``n_threads`` threads), whatever scale the model stores: the guarantee
     holds at any lambda > 0, which scales every Hamming distance alike, and
-    is tightest at lambda*. For each query the gap is the
-    margin between its k-th and (k+1)-th nearest ambient distances;
-    whenever that gap reaches 2 * delta, the triangle inequality forces
-    every ambient k-NN to sit within the Hamming k-NN radius, so any
-    violation is a bug (or a broken model) rather than bad luck. Queries
-    are checked a block at a time.
+    is tightest at lambda*. For each query the gap is the margin between its
+    k-th and (k+1)-th nearest ambient distances; whenever that gap reaches
+    2 * delta, the triangle inequality forces every ambient k-NN to sit
+    within the Hamming k-NN radius, so any violation is a bug (or a broken
+    model) rather than bad luck. Queries are checked a block at a time;
+    delta and the ranking are lookups when ``data`` already holds them.
     """
     queries = _check_queries(data, queries, k)
     delta = max_distortion(model, data, n_threads=n_threads).delta
     codes = hash_codes(model, data)
 
     gaps, satisfied, preserved = [], [], []
-    for block, nearest, c, h in query_neighbors(data.points, codes, queries, k + 1):
+    for block, nearest, c, h in query_neighbors(data, codes, queries, k + 1):
         gap = c[:, k] - c[:, k - 1]
         sat = np.flatnonzero(gap >= 2.0 * delta)
         # lambda > 0 scales every Hamming distance alike, so the Hamming

@@ -7,6 +7,8 @@ the code paths it is checking.
 
 import numpy as np
 
+from isohash.core import BinaryCodes
+
 
 def _grid_scan(v, c, grid):
     best_val = np.inf
@@ -103,6 +105,22 @@ def gathered_pair_distances(points, i_idx, j_idx):
     pts = np.asarray(points, dtype=np.float64)
     d = pts[np.asarray(i_idx)] - pts[np.asarray(j_idx)]
     return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def from_bits(bits):
+    """BinaryCodes of a Q x M matrix of 0/1 entries, packed as hash_matrix
+    packs them."""
+    bits = np.asarray(bits)
+    if bits.ndim != 2:
+        raise ValueError(f"bits must be Q x M, got shape {bits.shape}")
+    if bits.size and not np.isin(bits, (0, 1)).all():
+        raise ValueError("code entries must be 0 or 1")
+    return BinaryCodes(np.packbits(bits.astype(np.uint8), axis=1), bits.shape[1])
+
+
+def unpack(codes):
+    """The Q x M matrix of 0/1 entries that BinaryCodes packs."""
+    return np.unpackbits(codes.packed, axis=1, count=codes.n_bits)
 
 
 def hamming_dense(bits):

@@ -49,7 +49,8 @@ class TestLshModel:
         else:  # many tied distances
             data = preprocess(gen_translating_squares(grid=8, square=3).points)
         model = lsh_fit(8, data, 2)[0]
-        assert model.lam == max_distortion(model, data).lambda_star
+        # a fresh Dataset: data keeps the report lsh_fit measured
+        assert model.lam == max_distortion(model, Dataset(data.points)).lambda_star
 
 
 class TestGridSearch:

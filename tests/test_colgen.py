@@ -35,6 +35,15 @@ def small_config(**kw):
     return CgConfig(inner=inner, **kw)
 
 
+def test_threads_below_one_rejected():
+    # the first generation's scan names the bad count
+    data = gen_random_dataset(12, 3, seed=0)
+    config = small_config(inner=SolverConfig(max_outer_iters=2, inner_gd_iters=5))
+    for n_threads in (0, -1):
+        with pytest.raises(ValueError, match="n_threads must be >= 1"):
+            train_nibh_cg(data, 4, config, n_threads=n_threads)
+
+
 class TestSampleInitial:
     def test_whole_population_when_small(self):
         data = gen_random_dataset(4, 3, seed=0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from isohash import core
 from isohash.admm import _IncidencePairs
 from isohash.core import (
-    BinaryCodes,
     Dataset,
     SecantBatch,
     SecantRef,
@@ -25,7 +25,8 @@ from isohash.core import (
     sigmoid,
 )
 
-from oracles import gathered_pair_distances, hamming_dense, sample_pair_indices_unique
+from oracles import (from_bits, gathered_pair_distances, hamming_dense,
+                     sample_pair_indices_unique, unpack)
 
 
 def lexicographic_pairs(q):
@@ -67,18 +68,18 @@ class TestHashCodes:
     def test_sign_of_each_coordinate(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         codes = hash_matrix(w, np.array([[3.0, -2.0]]))
-        assert codes.unpack().tolist() == [[1, 0]]
+        assert unpack(codes).tolist() == [[1, 0]]
 
     def test_sgn_zero_is_plus_one(self):
         w = np.array([[1.0, 0.0]])
         codes = hash_matrix(w, np.array([[0.0, 5.0]]))
-        assert codes.unpack().tolist() == [[1]]
+        assert unpack(codes).tolist() == [[1]]
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((3, 4))
         x = rng.standard_normal((10, 4))
-        got = hash_matrix(w, x).unpack()
+        got = unpack(hash_matrix(w, x))
         for q in range(10):
             for m in range(3):
                 assert got[q, m] == scalar_hash_bit(w[m], x[q])
@@ -167,11 +168,11 @@ class TestRelaxedPairDist:
 
 class TestHamming:
     def test_identical_rows(self):
-        codes = BinaryCodes.from_bits(np.array([[1, 0, 1], [1, 0, 1]]))
+        codes = from_bits(np.array([[1, 0, 1], [1, 0, 1]]))
         assert hamming_one(codes, 0, 1) == 0
 
     def test_complementary_rows(self):
-        codes = BinaryCodes.from_bits(
+        codes = from_bits(
             np.array([[0, 1, 0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0, 1, 0]])
         )
         assert hamming_one(codes, 0, 1) == 8
@@ -179,7 +180,7 @@ class TestHamming:
     def test_equals_unpacked_squared_l2(self):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=(12, 21))
-        codes = BinaryCodes.from_bits(bits)
+        codes = from_bits(bits)
         for i in range(12):
             for j in range(12):
                 diff = bits[i].astype(float) - bits[j].astype(float)
@@ -188,7 +189,7 @@ class TestHamming:
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(6)
         bits = rng.integers(0, 2, size=(9, 33))
-        codes = BinaryCodes.from_bits(bits)
+        codes = from_bits(bits)
         for _ in range(50):
             a, b, c = rng.integers(0, 9, size=3)
             dab = hamming_one(codes, a, b)
@@ -197,14 +198,14 @@ class TestHamming:
             assert 0 <= dab <= 33
 
     def test_index_out_of_range(self):
-        codes = BinaryCodes.from_bits(np.array([[1, 0], [0, 1]]))
+        codes = from_bits(np.array([[1, 0], [0, 1]]))
         with pytest.raises(IndexError):
             hamming_one(codes, 0, 2)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(8)
         bits = rng.integers(0, 2, size=(10, 17))
-        codes = BinaryCodes.from_bits(bits)
+        codes = from_bits(bits)
         i_idx = np.array([4, 9, 7, 1])
         j_idx = np.array([0, 3, 7, 0])
         got = hamming_pairs(codes, i_idx, j_idx)
@@ -217,12 +218,12 @@ class TestPackRoundTrip:
         rng = np.random.default_rng(9)
         for m in (1, 7, 8, 9, 30, 64, 70):
             bits = rng.integers(0, 2, size=(5, m)).astype(np.uint8)
-            codes = BinaryCodes.from_bits(bits)
-            np.testing.assert_array_equal(codes.unpack(), bits)
+            codes = from_bits(bits)
+            np.testing.assert_array_equal(unpack(codes), bits)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            BinaryCodes.from_bits(np.array([[0, 2]]))
+            from_bits(np.array([[0, 2]]))
 
 
 class TestSecantStream:
@@ -283,7 +284,7 @@ class TestPairGathers:
     def setup_method(self):
         rng = np.random.default_rng(62)
         self.pts = rng.standard_normal((31, 7)) * rng.uniform(0.01, 100.0, (31, 1))
-        self.codes = BinaryCodes.from_bits(rng.integers(0, 2, size=(31, 130)))
+        self.codes = from_bits(rng.integers(0, 2, size=(31, 130)))
         self.i = rng.integers(0, 31, size=40)  # unsorted, with repeats
         self.j = rng.integers(0, 31, size=40)
 
@@ -403,6 +404,11 @@ class TestRowWalk:
             assert parts == [tiles[w::n_threads]
                              for w in range(min(n_threads, len(tiles)))]
 
+    def test_threads_below_one_rejected(self):
+        for n_threads in (0, -1):
+            with pytest.raises(ValueError, match="n_threads must be >= 1"):
+                map_tiles(lambda part: part, 10, n_threads)
+
     def test_one_worker_per_tile(self):
         # three points make one tile: no thread starts for the other seven
         calls = []
@@ -418,7 +424,7 @@ def test_popcount_tiles_match_dense_hamming(m, monkeypatch):
     bits = rng.integers(0, 2, (23, m))
     bits[3], bits[4] = 1, 0  # at distance M
     pts = rng.standard_normal((23, 4))
-    codes = BinaryCodes.from_bits(bits)
+    codes = from_bits(bits)
     tiles = PairTiles(pts, codes)
     dense = hamming_dense(bits)
     monkeypatch.setattr(core, "TILE_PAIRS", 60)
@@ -436,11 +442,56 @@ def test_popcount_tiles_match_dense_hamming(m, monkeypatch):
         assert np.isin(t[exact > s + tiles.margin(2.0)], pair_linear_index(i, j)).all()
         np.testing.assert_array_equal(h, dense[i, j])
     queries = np.array([22, 4, 0, 4, 3, 17, 9])  # unsorted, repeated: 2 per block
-    blocks = list(query_neighbors(pts, codes, queries, 2))
+    blocks = list(query_neighbors(Dataset(pts), codes, queries, 2))
     assert len(blocks) == 4
     for block, _, _, h in blocks:
         assert np.issubdtype(h.dtype, np.integer)
         np.testing.assert_array_equal(h, dense[block])
+
+
+class TestDatasetMemo:
+    def setup_method(self):
+        rng = np.random.default_rng(43)
+        self.pts = rng.standard_normal((30, 4))
+        self.codes = hash_matrix(rng.standard_normal((5, 4)), self.pts)
+
+    def ranking(self, data, queries=(3, 0, 29), k=4):
+        _, nearest, dist, _ = next(query_neighbors(data, self.codes, queries, k))
+        return nearest, dist
+
+    def test_scoped_to_the_instance(self):
+        data = Dataset(self.pts)
+        self.ranking(data)
+        assert set(data._memo) == {"ranking"} and "_memo" not in repr(data)
+        assert replace(data)._memo == {} and Dataset(data.points)._memo == {}
+
+    @pytest.mark.parametrize("edit", ["in_place", "reassigned"])
+    def test_edited_points_rank_afresh(self, edit):
+        data = Dataset(self.pts.copy())
+        before = self.ranking(data)
+        moved = self.pts.copy()
+        moved[0] = moved[3] + 1e-3  # query 3's nearest point now
+        if edit == "in_place":
+            data.points[0] = moved[0]
+        else:
+            data.points = moved.copy()
+        got, want = self.ranking(data), self.ranking(Dataset(moved))
+        assert want[0][0, 0] == 0 != before[0][0, 0]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_other_queries_rank_afresh(self):
+        data = Dataset(self.pts)
+        self.ranking(data)
+        for a, b in zip(self.ranking(data, (7, 8)), self.ranking(Dataset(self.pts), (7, 8))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_yielded_ranking_is_a_copy(self):
+        data = Dataset(self.pts)
+        nearest, dist = self.ranking(data)
+        nearest[:], dist[:] = 0, -1.0
+        for a, b in zip(self.ranking(data), self.ranking(Dataset(self.pts))):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestSamplePairs:

@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from isohash import core, metrics
-from isohash.core import (Dataset, HashModel, hash_matrix, map_tiles,
-                          random_projection_matrix)
+from isohash.core import (DataFormatError, Dataset, HashModel, hash_matrix, map_tiles,
+                          query_neighbors, random_projection_matrix)
 from isohash.dataio import gen_translating_squares
 from isohash.metrics import (
     fit_lambda_chebyshev,
@@ -95,7 +95,7 @@ class TestMaxDistortion:
         model = make_model(w)
         data = Dataset(pts)
         rep = max_distortion(model, data)
-        bits = hash_matrix(w, pts).unpack()
+        bits = oracles.unpack(hash_matrix(w, pts))
         _, delta_grid = oracles.brute_max_distortion(pts, bits)
         assert abs(rep.delta - delta_grid) < 1e-6
         assert rep.pair_count == 30 * 29 // 2
@@ -108,9 +108,9 @@ class TestMaxDistortion:
         rng = np.random.default_rng(24)
         pts = rng.standard_normal((60, 6))
         model = make_model(random_projection_matrix(8, 6, 4))
-        data = Dataset(pts)
-        a = max_distortion(model, data)
-        b = max_distortion(model, data, n_threads=3)
+        # a Dataset each: the second would read the first's report
+        a = max_distortion(model, Dataset(pts))
+        b = max_distortion(model, Dataset(pts), n_threads=3)
         assert a.delta == b.delta
         assert a.worst_secant == b.worst_secant
         assert a.lambda_star == b.lambda_star
@@ -148,7 +148,7 @@ class TestMapAtK:
         rep = map_at_k(model, data, queries=[0], k=3)
         # ambient kNN of the origin are rows 1,2,3; check they coincide in Hamming
         assert rep.map <= 1.0
-        bits = hash_matrix(w, pts).unpack()
+        bits = oracles.unpack(hash_matrix(w, pts))
         expect = oracles.brute_map(pts, bits, [0], 3)[0]
         assert rep.map == pytest.approx(expect)
 
@@ -177,7 +177,7 @@ class TestMapAtK:
         model = make_model(w)
         data = Dataset(pts)
         rep = map_at_k(model, data, k=7)
-        bits = hash_matrix(w, pts).unpack()
+        bits = oracles.unpack(hash_matrix(w, pts))
         expect = oracles.brute_map(pts, bits, range(30), 7)
         np.testing.assert_allclose(rep.per_query_ap, expect)
 
@@ -222,7 +222,7 @@ class TestKendallTau:
         w = random_projection_matrix(5, 4, seed + 50)
         model = make_model(w)
         rep = kendall_tau_at_k(model, Dataset(pts), k=6)
-        bits = hash_matrix(w, pts).unpack()
+        bits = oracles.unpack(hash_matrix(w, pts))
         expect = oracles.brute_tau(pts, bits, range(25), 6)
         np.testing.assert_allclose(rep.per_query_tau, expect)
         assert rep.mean_tau == pytest.approx(np.mean(expect))
@@ -242,7 +242,7 @@ class TestExactAmbientTies:
         self.pts = self.data.points
         self.w = random_projection_matrix(8, self.pts.shape[1], 5)
         self.model = make_model(self.w)
-        self.bits = hash_matrix(self.w, self.pts).unpack()
+        self.bits = oracles.unpack(hash_matrix(self.w, self.pts))
 
     def test_fixture_has_ties(self):
         d0 = np.linalg.norm(self.pts - self.pts[0], axis=1)
@@ -287,6 +287,113 @@ class TestExactAmbientTies:
         np.testing.assert_array_equal(rep.per_query_gap, gaps)
         np.testing.assert_array_equal(rep.satisfied_queries, satisfied)
         np.testing.assert_array_equal(rep.preserved, preserved)
+
+    def test_ranking_kept_at_the_largest_k(self, monkeypatch):
+        # a ranking at 10 answers k = 6 with its first 6 columns, bit for
+        # bit; a ranking at 6 cannot answer k = 10 and ranks again
+        codes = hash_matrix(self.w, self.pts)
+        blocks = []
+        ambient = core.PairTiles.ambient
+
+        def counted(tiles, rows, cols):
+            blocks.append(len(rows))
+            return ambient(tiles, rows, cols)
+
+        def ranking(data, k):
+            parts = list(zip(*query_neighbors(data, codes, np.arange(36), k)))
+            return np.concatenate(parts[1]), np.concatenate(parts[2])
+
+        fresh = {k: ranking(Dataset(self.pts), k) for k in (6, 10)}
+        monkeypatch.setattr(core.PairTiles, "ambient", counted)
+        for first, then in ((10, 6), (6, 10)):
+            data, blocks[:] = Dataset(self.pts), []
+            ranking(data, first)
+            got = ranking(data, then)
+            for a, b in zip(got, fresh[then]):
+                np.testing.assert_array_equal(a, b)
+            assert blocks == [36] * (1 if first > then else 2)
+
+
+class TestDatasetMemo:
+    """A Dataset keeps its last distortion report and its last query
+    ranking; every result must still equal a fresh Dataset's."""
+
+    def setup_method(self):
+        self.pts = np.random.default_rng(41).standard_normal((40, 5))
+        self.model = make_model(random_projection_matrix(6, 5, 8))
+
+    def results(self, data):
+        rep = knn_sufficiency_check(self.model, data, k=4)
+        return (max_distortion(self.model, data), map_at_k(self.model, data, k=4).per_query_ap,
+                rep.per_query_gap, rep.preserved)
+
+    @pytest.mark.parametrize("edit", ["in_place", "reassigned"])
+    def test_edited_points_measure_afresh(self, edit):
+        data = Dataset(self.pts.copy())
+        before = self.results(data)
+        moved = self.pts.copy()
+        moved[3] += 3.0
+        if edit == "in_place":
+            data.points[3] += 3.0
+        else:
+            data.points = moved.copy()
+        got, want = self.results(data), self.results(Dataset(moved))
+        assert got[0] == want[0] and before[0] != want[0]
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(before[2], want[2])
+
+    def test_report_is_a_copy(self):
+        data = Dataset(self.pts)
+        rep = max_distortion(self.model, data)
+        rep.delta, rep.worst_secant = -1.0, None
+        assert max_distortion(self.model, data) == max_distortion(self.model,
+                                                                  Dataset(self.pts))
+
+    def test_collapsed_codes_raise_every_time(self):
+        data = Dataset(self.pts)
+        for _ in range(2):
+            with pytest.raises(DataFormatError, match="collapsed"):
+                max_distortion(make_model(np.zeros((4, 5))), data)
+
+    def test_threads_below_one_rejected_after_a_hit(self):
+        data = Dataset(self.pts)
+        knn_sufficiency_check(self.model, data, k=4)
+        for n_threads in (0, -2):
+            with pytest.raises(ValueError, match="n_threads"):
+                max_distortion(self.model, data, n_threads=n_threads)
+            with pytest.raises(ValueError, match="n_threads"):
+                knn_sufficiency_check(self.model, data, k=4, n_threads=n_threads)
+
+    def test_workload_order_makes_one_pass_and_one_ranking(self, monkeypatch):
+        # as the stored-model evaluation runs: delta on two threads, MAP and
+        # tau at k = 10, then the kNN check at k = 5 (a ranking at 6)
+        passes, blocks = [], []
+        ambient = core.PairTiles.ambient
+
+        def counted_pass(fn, q, n_threads=1):
+            passes.append(q)
+            return map_tiles(fn, q, n_threads)
+
+        def counted_ranking(tiles, rows, cols):
+            blocks.append(len(rows))
+            return ambient(tiles, rows, cols)
+
+        monkeypatch.setattr(metrics, "map_tiles", counted_pass)
+        monkeypatch.setattr(core.PairTiles, "ambient", counted_ranking)
+        data, queries = Dataset(self.pts), np.arange(0, 40, 3)
+        rep = max_distortion(self.model, data, n_threads=2)
+        ap = map_at_k(self.model, data, queries, k=10).per_query_ap
+        tau = kendall_tau_at_k(self.model, data, queries, k=10).per_query_tau
+        gap = knn_sufficiency_check(self.model, data, queries, k=5)
+        assert passes == [40] and blocks == [queries.size]
+        bits = oracles.unpack(hash_matrix(self.model.w, self.pts))
+        assert gap.delta == rep.delta
+        np.testing.assert_allclose(ap, oracles.brute_map(self.pts, bits, queries, 10))
+        np.testing.assert_allclose(tau, oracles.brute_tau(self.pts, bits, queries, 10))
+        want = oracles.brute_knn(self.pts, bits, queries, 5, rep.delta)
+        for a, b in zip((gap.per_query_gap, gap.satisfied_queries, gap.preserved), want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestReportJson:

@@ -81,7 +81,8 @@ class TestGramCancellation:
     def make(self, q):
         pts = near_duplicates(q)
         model = model_for(pts)
-        return pts, Dataset(pts), model, hash_matrix(model.w, pts).unpack().astype(int)
+        bits = oracles.unpack(hash_matrix(model.w, pts)).astype(int)
+        return pts, Dataset(pts), model, bits
 
     def test_max_distortion_matches_literal_scan(self, q, small_tiles):
         pts, data, model, bits = self.make(q)
@@ -89,7 +90,8 @@ class TestGramCancellation:
         lam = oracles.literal_refit_lambda(pts, bits)
         delta, worst = oracles.literal_row_scan(pts, bits, lam)
         for n_threads in (1, 3):
-            rep = max_distortion(model, data, n_threads=n_threads)
+            # a Dataset each: the second would read the first's report
+            rep = max_distortion(model, Dataset(pts), n_threads=n_threads)
             assert rep.lambda_star == lam
             assert rep.delta == delta
             assert (rep.worst_secant.i, rep.worst_secant.j) == worst
@@ -182,7 +184,7 @@ def test_full_size_tile_boundary(q):
     assert len(row_tiles(q)) == q - 511
     pts = near_duplicates(q, seed=3)
     model = model_for(pts, seed=4)
-    bits = hash_matrix(model.w, pts).unpack()
+    bits = oracles.unpack(hash_matrix(model.w, pts))
     rep = max_distortion(model, Dataset(pts), n_threads=2)
     lam = oracles.literal_refit_lambda(pts, bits)
     delta, worst = oracles.literal_row_scan(pts, bits, lam)
@@ -206,7 +208,7 @@ def test_rounded_tie_off_the_level_extremes(n_threads, monkeypatch):
     rep = max_distortion(model, Dataset(pts), n_threads=n_threads)
     assert (rep.lambda_star, rep.delta) == (2.0, 3.0)
     assert (rep.worst_secant.i, rep.worst_secant.j) == (1, 0)
-    bits = hash_matrix(model.w, pts).unpack()
+    bits = oracles.unpack(hash_matrix(model.w, pts))
     assert oracles.literal_refit_lambda(pts, bits) == 2.0
     assert oracles.literal_row_scan(pts, bits, 2.0) == (3.0, (1, 0))
 
