@@ -16,9 +16,10 @@ geometrically from alpha_start to alpha_end (continuation):
     with R the Q x Q sum of the residuals at (i_k, j_k); no |S| x M array,
   - incidence, for smaller sets: the sparse |S| x Q pair-incidence matrix B
     (+1 at i_k, -1 at j_k), v = rowsum((B S)^2) and P = (B^T diag(r)) (B S),
-    whose values equal the per-pair gather. Column generation's restricted
-    sets stay here, and so does its delta, which moves with the last bits
-    of the gradient,
+    whose values equal the per-pair gather. Column generation's secant
+    sets take this layout unless they cover half of the pair stream, as an
+    initial sample of the default 5,000 does for every Q <= 141; its delta
+    moves with the last bits of the gradient,
 * u: the l-inf proximal map, computed by Moreau decomposition through an
   l1-ball projection,
 * lambda: a clamped positive least-squares scalar,

@@ -367,10 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "minimization: training, evaluation, demos, checks.",
     )
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for all-pairs scans; 2 threads "
-                        "measured 1.4-1.7x faster at 10^4 points and "
-                        "0.95-1.3x at 2000 on a shared 2-vCPU host "
-                        "(default: 1)")
+                   help="worker threads for all-pairs scans; a second "
+                        "thread pays at 10^4 points, not at 2000 (default: 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a hashing model")

@@ -46,10 +46,9 @@ __all__ = [
 ]
 
 # a secant stays active when its quantized residual reaches (1 - _ACTIVE_TOL)
-# of delta_hat, at most _ACTIVE_CAP (the largest); a narrow band keeps only the
-# few that set delta_hat at lambda*, and re-solves on so few swing lambda*
+# of delta_hat; a narrow band keeps only the few that set delta_hat at
+# lambda*, and re-solves on so few swing lambda*
 _ACTIVE_TOL = 0.5
-_ACTIVE_CAP = 200_000
 
 
 @dataclass
@@ -72,9 +71,8 @@ class CgReport:
     generations: int
     active_size: int
     peak_resident_secants: int
-    fully_satisfied: bool
+    fully_satisfied: bool  # the run stopped on a clean scan
     delta_hat: float
-    violators_found: int
     init_size: int
     # per generation g = 0 (the initial solve) .. generations: dict(generation,
     # active_size, violators_found, delta_hat, full_delta, lambda)
@@ -86,18 +84,11 @@ class CgReport:
 # pieces
 
 
-def identify_active(resid: np.ndarray, delta_hat: float, active_tol: float,
-                    cap: Optional[int] = None) -> np.ndarray:
+def identify_active(resid: np.ndarray, delta_hat: float,
+                    active_tol: float) -> np.ndarray:
     """Mask of the secants whose quantized residual ``resid`` reaches
-    (1 - active_tol) * delta_hat; at most ``cap`` survive (largest first)."""
-    mask = resid >= (1.0 - active_tol) * delta_hat
-    if cap is not None and int(mask.sum()) > cap:
-        # keep the largest residuals; ties resolved by pair order
-        idx = np.nonzero(mask)[0]
-        keep = idx[np.argsort(-resid[idx], kind="stable")[:cap]]
-        mask = np.zeros(resid.size, dtype=bool)
-        mask[keep] = True
-    return mask
+    (1 - active_tol) * delta_hat."""
+    return resid >= (1.0 - active_tol) * delta_hat
 
 
 def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
@@ -117,6 +108,8 @@ def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
     """
     if delta_hat < 0:
         raise ValueError("delta_hat must be nonnegative")
+    if batch_limit < 1:
+        raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")
     *found, t = metrics._level_candidates(codes, data.points, n_threads, lam,
                                           delta_hat, batch_limit)
     violators = SecantBatch.from_pairs(data.points, *decode_pair_indices(t))
@@ -153,14 +146,13 @@ def train_nibh_cg(
     resident secants, and delta_hat, their largest residual there; the same
     pass measures its refit delta over every pair (``full_delta``).
 
-    Terminates when a full scan finds no violator or max_generations is
-    exhausted; ``fully_satisfied`` says which. A clean scan returns the
-    model it scanned, with a certificate: every pair is within delta_hat at
-    lambda*, where no scale does better on the resident pairs, so delta_hat
-    is the model's refit delta over every pair. An exhausted budget returns
-    the generation with the lowest refit delta (the later one on a tie),
-    and the report's ``delta_hat`` and ``best_generation`` describe that
-    generation.
+    Stops when a full scan finds no violator or max_generations is
+    exhausted; ``fully_satisfied`` says the run stopped on a clean scan,
+    which proves the scanned generation's refit delta equal to its
+    delta_hat. Either way the run returns the generation with the lowest
+    refit delta (the later one on a tie), so the returned delta is never
+    above the clean one; the report's ``delta_hat``, ``active_size`` and
+    ``best_generation`` describe that generation.
     """
     if config is None:
         config = CgConfig()
@@ -178,14 +170,11 @@ def train_nibh_cg(
         resid = np.abs(model.lam * hamming_pairs(codes, secants.i, secants.j)
                        - secants.c)
         delta_hat = float(resid.max())
-        active = secants.subset(identify_active(
-            resid, delta_hat, _ACTIVE_TOL, _ACTIVE_CAP))
+        active = secants.subset(identify_active(resid, delta_hat, _ACTIVE_TOL))
         violators, full = scan_violators(codes, data, model.lam, delta_hat,
                                          config.violator_batch, n_threads)
         full_delta, clean = full.delta, len(violators) == 0
-        # a clean scan certifies the model it scanned, which is kept whatever
-        # its delta; otherwise the lowest delta so far, ties to the later
-        if clean or full_delta <= best[0]:
+        if full_delta <= best[0]:
             best = (full_delta, gen, model, delta_hat)
         record = {
             "generation": gen,
@@ -214,7 +203,6 @@ def train_nibh_cg(
         peak_resident_secants=peak,
         fully_satisfied=clean,
         delta_hat=delta_hat,
-        violators_found=sum(rec["violators_found"] for rec in history),
         init_size=init_size,
         history=history,
         best_generation=best_gen,

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -116,13 +117,6 @@ class TestIdentifyActive:
         mask = identify_active(resid, delta_hat, tol)
         np.testing.assert_array_equal(mask, resid >= (1 - tol) * delta_hat)
 
-    def test_cap_keeps_largest(self):
-        codes, sec = self.make_codes_and_secants(seed=3)
-        resid = np.abs(1.0 * hamming_pairs(codes, sec.i, sec.j) - sec.c)
-        mask = identify_active(resid, 0.0, 0.0, cap=5)
-        assert mask.sum() == 5
-        assert resid[mask].min() >= np.sort(resid)[-5] - 1e-12
-
 
 class TestScanViolators:
     def setup_method(self):
@@ -156,6 +150,14 @@ class TestScanViolators:
                 if abs(lam * dh - c) > delta_hat:
                     want.add((i, j))
         assert got == want and len(violators) > 0
+
+    def test_batch_limit_below_one_rejected(self):
+        # a batch of 0 would read as a clean scan while pairs still violate
+        violators, _ = scan_violators(self.codes, self.data, 0.4, 1.1, 10_000)
+        assert len(violators) > 0
+        for batch_limit in (0, -1):
+            with pytest.raises(ValueError, match="batch_limit must be >= 1"):
+                scan_violators(self.codes, self.data, 0.4, 1.1, batch_limit)
 
     def test_threaded_matches_serial(self):
         a, ra = scan_violators(self.codes, self.data, 0.4, 1.0, 37)
@@ -213,14 +215,14 @@ class TestTrainCg:
         sink = io.StringIO()
         model, report = train_nibh_cg(data, 8, cfg, progress=sink)
         assert report.fully_satisfied, "CG should satisfy all pairs at desk scale"
-        # termination soundness: a fresh full scan at the final state is clean
-        codes = hash_codes(model, data)
-        violators, _ = scan_violators(codes, data, model.lam, report.delta_hat,
-                                      1000)
-        assert len(violators) == 0
-        # certificate: the clean scan at (lambda*, delta_hat) makes delta_hat
-        # the refit delta over every pair
-        assert max_distortion(model, data).delta == report.delta_hat
+        # the run returns its lowest refit delta
+        full = [rec["full_delta"] for rec in report.history]
+        assert max_distortion(model, data).delta == min(full)
+        # certificate: the last generation scanned clean at (lambda*,
+        # delta_hat), which makes delta_hat its refit delta over every pair
+        last = report.history[-1]
+        assert last["violators_found"] == 0
+        assert last["full_delta"] == last["delta_hat"]
         # memory contract
         assert report.peak_resident_secants <= report.init_size + \
             report.generations * cfg.violator_batch
@@ -312,6 +314,37 @@ class TestTrainCg:
             assert max_distortion(model, data).delta == min(full)
             assert report.delta_hat == report.history[best]["delta_hat"]
             assert report.active_size == report.history[best]["active_size"]
+
+    def test_clean_scan_returns_lowest_delta_generation(self, monkeypatch):
+        # generation 0 scans violators at delta 1.0, generation 1 scans clean
+        # at delta 2.0: the clean scan stops the run, generation 0 returns
+        data = preprocess(gen_random_dataset(30, 6, seed=3).points)
+        cfg = small_config(init_sample_size=60, violator_batch=20,
+                           max_generations=5)
+        solves = []
+
+        def recording_train_nibh(*args, **kwargs):
+            model, state = train_nibh(*args, **kwargs)
+            solves.append(model)
+            return model, state
+
+        def scripted_scan(codes, data, *args):
+            violators, rep = scan_violators(codes, data, *args)
+            if len(solves) == 1:
+                return (SecantBatch.from_pairs(data.points, [2, 5], [0, 1]),
+                        dataclasses.replace(rep, delta=1.0))
+            return violators.subset([]), dataclasses.replace(rep, delta=2.0)
+
+        monkeypatch.setattr(colgen, "train_nibh", recording_train_nibh)
+        monkeypatch.setattr(colgen, "scan_violators", scripted_scan)
+        model, report = train_nibh_cg(data, 4, cfg)
+        assert report.fully_satisfied and report.generations == 1
+        assert [rec["full_delta"] for rec in report.history] == [1.0, 2.0]
+        assert report.best_generation == 0
+        assert model.w.tobytes() == solves[0].w.tobytes()
+        assert model.w.tobytes() != solves[1].w.tobytes()
+        assert report.delta_hat == report.history[0]["delta_hat"]
+        assert report.active_size == report.history[0]["active_size"]
 
     def test_clean_scan_returns_scanned_generation(self):
         # the first sample holds every pair, so the first scan is clean
