@@ -14,12 +14,15 @@ geometrically from alpha_start to alpha_end (continuation):
     (4 |S| >= Q (Q - 1)): v from the Gram matrix G = S S^T,
     v_k = G_ii + G_jj - 2 G_ij, and P = diag(R 1 + R^T 1) S - (R + R^T) S
     with R the Q x Q sum of the residuals at (i_k, j_k); no |S| x M array,
-  - incidence, for smaller sets: the sparse |S| x Q pair-incidence matrix B
-    (+1 at i_k, -1 at j_k), v = rowsum((B S)^2) and P = (B^T diag(r)) (B S),
-    whose values equal the per-pair gather. Column generation's secant
-    sets take this layout unless they cover half of the pair stream, as an
-    initial sample of the default 5,000 does for every Q <= 141; its delta
-    moves with the last bits of the gradient,
+  - incidence, for smaller sets: the differences d_k = S[i_k] - S[j_k]
+    from one row gather each, v = rowsum(d^2), and P = B^T (r * d) through
+    the sparse Q x |S| matrix B^T of the pair-incidence matrix B (+1 at
+    i_k, -1 at j_k). scipy.sparse is imported when this layout is first
+    built, not with the package: it costs about 20 MiB and 0.1 s, and only
+    sampled and column-generation secant sets need it. Column generation's
+    secant sets take this layout unless they cover half of the pair
+    stream, as an initial sample of the default 5,000 does for every
+    Q <= 141; its delta moves with the last bits of the gradient,
 * u: the l-inf proximal map, computed by Moreau decomposition through an
   l1-ball projection,
 * lambda: a clamped positive least-squares scalar,
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .core import (
     Dataset,
@@ -144,33 +146,40 @@ def augmented_loss(u, v, c, y, lam: float, rho: float = 1.0) -> float:
 
 
 class _IncidencePairs:
-    """Pair layout through the sparse |S| x Q pair-incidence matrix B: row k
-    is +1 at i_k and -1 at j_k, so (B S)_k = S[i_k] - S[j_k] exactly."""
+    """Pair layout through gathered rows and the sparse Q x |S| transpose
+    B^T of the pair-incidence matrix B, whose row k is +1 at i_k and -1 at
+    j_k: the gather gives B S = S[i] - S[j] bit for bit, and no |S| x Q
+    matrix is kept."""
 
     def __init__(self, secants: SecantBatch, q: int):
+        # imported here: scipy.sparse adds about 20 MiB and 0.1 s to a
+        # process, and only sampled or column-generation secant sets get here
+        from scipy import sparse
+
         k = len(secants)
-        self.b = sparse.csr_matrix(
-            (np.tile([1.0, -1.0], k),
-             np.column_stack([secants.i, secants.j]).ravel(),
-             np.arange(0, 2 * k + 1, 2)),
-            shape=(k, q),
-        )
+        self.i, self.j = secants.i, secants.j
         # B^T in CSR, each point's secants in ascending order; ``scatter``
         # refills its values with the signed residuals, gathered through an
         # intp copy of its int32 indices, which would cast on every call
-        self.bt = self.b.T.tocsr()
+        self.bt = sparse.csc_matrix(
+            (np.tile([1.0, -1.0], k),
+             np.column_stack([secants.i, secants.j]).ravel(),
+             np.arange(0, 2 * k + 1, 2)),
+            shape=(q, k),
+        ).tocsr()
         self.sign, self.cols = self.bt.data.copy(), self.bt.indices.astype(np.intp)
 
     def dists(self, s):
-        """Relaxed distances v, and the differences B S that ``scatter``
-        reuses."""
-        d = self.b @ s
+        """Relaxed distances v, and the differences d = S[i] - S[j] that
+        ``scatter`` reuses."""
+        d = s.take(self.i, axis=0)
+        d -= s.take(self.j, axis=0)
         return np.einsum("ij,ij->i", d, d), d
 
     def scatter(self, s, r, d):
-        """P = B^T (r * B S) as (B^T diag(r)) (B S): per point, the sum of
-        its signed pair terms in secant order, and (+-r) d = +-(r d)
-        exactly, so P equals the per-pair product bit for bit."""
+        """P = B^T (r * d) as (B^T diag(r)) d: per point, the sum of its
+        signed pair terms in secant order, and (+-r) d = +-(r d) exactly,
+        so P equals the per-pair product bit for bit."""
         np.multiply(self.sign, r[self.cols], out=self.bt.data)
         return self.bt @ d
 

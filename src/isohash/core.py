@@ -29,6 +29,10 @@ with two, and 0.84-0.96 s at Q = 10^4 with one thread and 0.48-0.54 s
 with two: what the second thread gains depends on how busy the host keeps
 the other core.
 
+The sigmoid surrogate sigma_alpha(t) = 1 / (1 + exp(-alpha t)) (:func:`sigmoid`)
+uses numpy alone and saturates to exactly 0 or 1 at large |alpha t|. This
+module imports nothing beyond numpy and the standard library.
+
 Everything here is thread-safe and stateless but for a memo on each
 :class:`Dataset` instance: its last :func:`metrics.max_distortion` report and
 query ranking (:func:`query_neighbors`, O(|queries| k) values), each used
@@ -46,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "DataFormatError",
@@ -263,8 +266,19 @@ class BinaryCodes:
 
 
 def sigmoid(t, alpha: float = 1.0):
-    """Rate-alpha logistic function (1 + exp(-alpha * t))**-1."""
-    return expit(alpha * np.asarray(t, dtype=np.float64))
+    """Rate-alpha logistic function 1 / (1 + exp(-alpha t)), elementwise in
+    float64, by numpy's vectorized ``exp`` in one fresh buffer (``t`` is
+    not written). It saturates to exactly 0.0 where exp(-alpha t)
+    overflows (alpha t < -709.78; the overflow is silenced) and to exactly
+    1.0 where exp(-alpha t) is below half an ulp of 1 (alpha t > 36.8); NaN
+    passes through. A scalar or 0-d ``t`` gives a float64 scalar."""
+    t = np.asarray(t, dtype=np.float64)
+    x = np.multiply(t, -alpha, out=np.empty_like(t))
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+    return x if x.ndim else x[()]
 
 
 def hash_matrix(w: np.ndarray, points: np.ndarray) -> BinaryCodes:

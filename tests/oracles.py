@@ -99,6 +99,17 @@ def w_loss_grad_loop(w, points, i_idx, j_idx, c, u, y, lam, alpha):
     return loss, grad
 
 
+def incidence_scatter_loop(q, i_idx, j_idx, r, d):
+    """Per-point sums P of the signed pair terms, one secant at a time in
+    secant order: P[i_k] += r_k d_k and P[j_k] -= r_k d_k."""
+    p = np.zeros((q, d.shape[1]))
+    for k in range(len(i_idx)):
+        term = r[k] * d[k]
+        p[i_idx[k]] += term
+        p[j_idx[k]] -= term
+    return p
+
+
 def gathered_pair_distances(points, i_idx, j_idx):
     """Literal l2 distances of the pairs (i_idx, j_idx) in one fancy-indexed
     gather: sqrt(sum((x_i - x_j)^2)) with the row sums by einsum."""

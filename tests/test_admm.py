@@ -255,8 +255,10 @@ class TestWStep:
         [(k + 1, k) for k in range(7)],  # points 1..6 each as i and as j
     ])
     def test_incidence_scatter_bit_identical(self, pairs):
-        # B^T diag(r) (B S) sums the same secants in the same order as the
-        # per-pair product B^T (r * B S), so no bit may differ
+        # the gathered differences are S[i] - S[j], and B^T diag(r) d sums
+        # each point's signed terms r_k d_k in secant order, as the loop
+        # does, so no bit may differ; the first case repeats secants and
+        # leaves point 4 in no secant, whose row of P must be 0
         rng = np.random.default_rng(61)
         q, m = 8, 5
         i, j = np.array(pairs).T
@@ -264,8 +266,10 @@ class TestWStep:
         for _ in range(3):  # the refilled values must not leak across calls
             s = rng.random((q, m))
             r = rng.standard_normal(i.size)
-            _, d = layout.dists(s)
-            want = layout.b.T @ (r[:, None] * d)
+            v, d = layout.dists(s)
+            assert np.array_equal(d, s[i] - s[j])
+            assert np.array_equal(v, np.einsum("ij,ij->i", d, d))
+            want = oracles.incidence_scatter_loop(q, i, j, r, d)
             assert np.array_equal(layout.scatter(s, r, d), want)
 
     def test_all_pairs_gradient_memory(self):

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,8 +20,8 @@ from isohash.dataio import (gen_random_dataset, load_any, load_model, preprocess
 PACKAGE_ROOT = str(Path(isohash.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, cwd):
-    """Run ``python -m isohash`` in a child process.
+def run_python(*args, cwd):
+    """Run ``python *args`` in a child process.
 
     ``cwd`` is a temporary directory because the CLI writes its manifests
     and CSVs into its working directory. A relative ``PYTHONPATH=src``
@@ -31,10 +32,44 @@ def run_cli(*args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "isohash", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(*args, cwd):
+    """Run ``python -m isohash`` in a child process (see run_python)."""
+    return run_python("-m", "isohash", *args, cwd=cwd)
+
+
+def test_scipy_sparse_loads_only_for_the_incidence_layout(tmp_path):
+    # scipy.sparse and scipy.special add about 27 MiB to a process: the CLI,
+    # every evaluation and dense all-pairs training load neither, and a
+    # solve on a sampled secant set loads scipy.sparse for its incidence matrix
+    script = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        import isohash.cli
+        from isohash import admm, baselines, metrics, theory
+        from isohash.core import Dataset, SecantBatch
+
+        def loaded():
+            return [m for m in ("scipy.sparse", "scipy.special") if m in sys.modules]
+
+        data = Dataset(np.random.default_rng(0).standard_normal((30, 6)))
+        model, _ = baselines.lsh_fit(8, data, 0)
+        metrics.max_distortion(model, data)
+        metrics.map_at_k(model, data, k=5)
+        metrics.kendall_tau_at_k(model, data, k=5)
+        theory.knn_sufficiency_check(model, data, k=5)
+        config = admm.SolverConfig(max_outer_iters=3)
+        admm.train_nibh(data, SecantBatch.all_pairs(data.points), 8, config)
+        print(loaded())
+        admm.train_nibh(data, SecantBatch.sample(data.points, 50, 0), 8, config)
+        print(loaded())
+    """)
+    proc = run_python("-c", script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['scipy.sparse']"]
 
 
 @pytest.fixture(scope="module")

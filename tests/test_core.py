@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,45 @@ class TestSigmoid:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         mild = sigmoid(w @ x, 0.5)
         assert np.all(mild > 0.0) and np.all(mild < 1.0)
+
+
+class TestSigmoidEdges:
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("alpha", [1.0, 4.0])
+    def test_saturates_exactly_without_warning(self, alpha):
+        at = np.array([745.0, -745.0, 1e4, -1e4])
+        assert sigmoid(at / alpha, alpha).tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_nan_passes_through_and_0d_input(self):
+        out = sigmoid(np.array([np.nan, 0.0, -np.nan]), 3.0)
+        assert np.isnan(out[0]) and out[1] == 0.5 and np.isnan(out[2])
+        for t in (np.array(1.5), 1.5):
+            got = sigmoid(t, 2.0)
+            assert np.ndim(got) == 0
+            assert abs(got - 1.0 / (1.0 + math.exp(-3.0))) <= 4 * np.spacing(got)
+        assert np.isnan(sigmoid(np.array(np.nan)))
+
+    def test_input_not_mutated(self):
+        t = np.random.default_rng(7).standard_normal((6, 4))
+        kept = t.copy()
+        out = sigmoid(t, 2.5)
+        assert np.array_equal(t, kept)
+        assert not np.shares_memory(out, t)
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    def test_within_4_ulp_of_scalar_formula(self, alpha):
+        # math.exp overflows past 709.78, so the grid stops at |alpha t| = 700
+        at = np.concatenate([np.linspace(-700.0, 700.0, 14_001),
+                             np.linspace(-40.0, 40.0, 16_001)])
+        t = at / alpha
+        got = sigmoid(t, alpha)
+        want = np.array([1.0 / (1.0 + math.exp(-(alpha * x))) for x in t])
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 class TestRelaxedPairDist:
