@@ -212,9 +212,9 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
                 "delta": best["full_delta"],
                 "lambda": model.lam,
                 "iterations": cg_rep.generations,
-                "delta_hat": cg_rep.delta_hat,
+                "delta_hat": best["delta_hat"],
                 "fully_satisfied": cg_rep.fully_satisfied,
-                "active_size": cg_rep.active_size,
+                "active_size": best["active_size"],
                 "peak_resident_secants": cg_rep.peak_resident_secants,
             })
     finally:
@@ -376,19 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--algo", choices=["nibh", "nibh-cg", "lsh"], default="nibh")
     t.add_argument("--bits", type=int, required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--rho", type=float, default=1.0)
-    t.add_argument("--eta", type=float, default=1.6)
-    t.add_argument("--alpha-start", type=float, default=1.0)
-    t.add_argument("--alpha-end", type=float, default=10.0)
-    t.add_argument("--alpha-growth", type=float, default=1.25)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--rho", type=float, default=SolverConfig.rho)
+    t.add_argument("--eta", type=float, default=SolverConfig.eta)
+    t.add_argument("--alpha-start", type=float, default=SolverConfig.alpha_start)
+    t.add_argument("--alpha-end", type=float, default=SolverConfig.alpha_end)
+    t.add_argument("--alpha-growth", type=float, default=SolverConfig.alpha_growth)
+    t.add_argument("--seed", type=int, default=SolverConfig.seed)
     t.add_argument("--secants", default="all",
                    help="nibh secant selection: all | bre | sample:K")
     t.add_argument("--init-sample", type=int, default=None)
     t.add_argument("--violator-batch", type=int, default=None)
     t.add_argument("--max-gens", type=int, default=None)
-    t.add_argument("--tol", type=float, default=1e-5)
-    t.add_argument("--max-iters", type=int, default=100)
+    t.add_argument("--tol", type=float, default=SolverConfig.convergence_tol)
+    t.add_argument("--max-iters", type=int, default=SolverConfig.max_outer_iters)
     t.add_argument("--progress", default=None,
                    help="JSON-lines progress sink path, or - for stderr")
     t.add_argument("--manifest", default=None)

@@ -69,15 +69,15 @@ class CgConfig:
 @dataclass
 class CgReport:
     generations: int
-    active_size: int
     peak_resident_secants: int
     fully_satisfied: bool  # the run stopped on a clean scan
-    delta_hat: float
     init_size: int
     # per generation g = 0 (the initial solve) .. generations: dict(generation,
     # active_size, violators_found, delta_hat, full_delta, lambda)
     history: list
-    best_generation: int  # the generation whose model was returned
+    # the generation whose model was returned; its history record holds
+    # that model's delta_hat and active_size
+    best_generation: int
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +151,8 @@ def train_nibh_cg(
     which proves the scanned generation's refit delta equal to its
     delta_hat. Either way the run returns the generation with the lowest
     refit delta (the later one on a tie), so the returned delta is never
-    above the clean one; the report's ``delta_hat``, ``active_size`` and
-    ``best_generation`` describe that generation.
+    above the clean one; ``history[best_generation]`` describes that
+    generation.
     """
     if config is None:
         config = CgConfig()
@@ -162,7 +162,7 @@ def train_nibh_cg(
     init_size = peak = len(secants)
     w0 = None  # each re-solve warm-starts from the previous embedding
     history = []
-    best = (math.inf,)  # (full delta, generation, model, delta_hat)
+    best = (math.inf,)  # (full delta, generation, model)
     for gen in range(config.max_generations + 1):
         model, _state = train_nibh(data, secants, m, config.inner, w0=w0)
         w0 = model.w
@@ -175,7 +175,7 @@ def train_nibh_cg(
                                          config.violator_batch, n_threads)
         full_delta, clean = full.delta, len(violators) == 0
         if full_delta <= best[0]:
-            best = (full_delta, gen, model, delta_hat)
+            best = (full_delta, gen, model)
         record = {
             "generation": gen,
             "active_size": len(active),
@@ -196,13 +196,11 @@ def train_nibh_cg(
             "resident secants exceed the column-generation memory contract"
         peak = max(peak, len(secants))
 
-    _, best_gen, model, delta_hat = best
+    _, best_gen, model = best
     report = CgReport(
         generations=gen,
-        active_size=history[best_gen]["active_size"],
         peak_resident_secants=peak,
         fully_satisfied=clean,
-        delta_hat=delta_hat,
         init_size=init_size,
         history=history,
         best_generation=best_gen,

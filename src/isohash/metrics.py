@@ -86,24 +86,6 @@ class NeighborReport:
 # Chebyshev (minimax) scale fit
 
 
-def _golden_section(g, lo: float, hi: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = g(x1), g(x2)
-    while b - a > 1e-14 * max(1.0, abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = g(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = g(x2)
-    return 0.5 * (a + b)
-
-
 def _certify_minimax(v: np.ndarray, c: np.ndarray, lam: float) -> None:
     # left/right subgradients of g(lam) = max_i |lam v_i - c_i| must bracket 0
     r = lam * v - c
@@ -126,11 +108,19 @@ def _certify_minimax(v: np.ndarray, c: np.ndarray, lam: float) -> None:
 def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
     """Minimize g(lambda) = max_i |lambda v_i - c_i| over lambda > 0.
 
-    g is convex piecewise-linear; the minimizer sits where the steepest
-    rising and falling envelope lines cross. A top-2 exchange usually lands
-    there in a few steps; golden-section over [0, lambda_hi] is the fallback,
-    polished back onto the exact vertex. The optimality certificate (left and
-    right subgradients bracketing zero) is asserted on every call.
+    A monotone descent over the vertices (c_a + c_b) / (v_a + v_b), in the
+    spirit of Dinkelbach's method for fractional programs. The rising
+    envelope U(lambda) = max_i (lambda v_i - c_i) first meets the falling
+    L(lambda) = max_i (c_i - lambda v_i) at lambda*. A rising line a
+    (v_a > 0) meets L at phi_a = max_b (c_a + c_b) / (v_a + v_b) >= lambda*,
+    so lambda* = min_a phi_a. From the steepest line, each step sets lambda
+    to phi_a and a to the line on top there. It stops because:
+    - that line meets L no later than lambda, so lambda never rises;
+    - lambda takes values in the finite set {phi_a}, so at most n steps;
+    - a top line with v_a = 0 means g(lambda) = 0, already optimal.
+    On a flat minimum the result is a vertex, the largest minimizer along
+    the descent. The optimality certificate (left and right subgradients
+    bracketing zero) is asserted on every call.
 
     Returns (lambda_star, delta).
     """
@@ -138,6 +128,8 @@ def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
     c = np.asarray(c, dtype=np.float64).ravel()
     if v.size != c.size or v.size < 1:
         raise ValueError(f"vector length mismatch: {v.size} vs {c.size}")
+    if not (np.isfinite(v).all() and np.isfinite(c).all()):
+        raise ValueError("v and c must be finite (no NaN or inf)")
     if v.min(initial=0.0) < 0 or c.min(initial=0.0) < 0:
         raise ValueError("v and c must be nonnegative")
     if not np.any(v > 0):
@@ -145,40 +137,15 @@ def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
     if not np.any(c > 0):
         raise ValueError("all target distances are zero; no positive minimizer")
 
-    lam_hi = float(c.max() / v[v > 0].min()) + 1.0
-
-    def g(lam: float) -> float:
-        return float(np.max(np.abs(lam * v - c)))
-
-    def exchange(lam: float, iters: int) -> tuple[float, bool]:
-        seen = set()
-        for _ in range(iters):
-            r = lam * v - c
-            a = int(np.argmax(r))
-            b = int(np.argmax(-r))
-            denom = v[a] + v[b]
-            if denom <= 0.0:
-                return lam, False
-            lam_new = (c[a] + c[b]) / denom
-            if abs(lam_new - lam) <= 1e-15 * max(1.0, abs(lam)):
-                return lam_new, True
-            if (a, b) in seen:
-                return lam, False
-            seen.add((a, b))
-            lam = lam_new
-        return lam, False
-
-    lam0 = float(v @ c) / float(v @ v)
-    if not np.isfinite(lam0) or lam0 <= 0:
-        lam0 = 0.5 * lam_hi
-    lam, ok = exchange(min(lam0, lam_hi), 60)
-    if not ok:
-        lam = _golden_section(g, 0.0, lam_hi)
-        lam, _ = exchange(lam, 8)  # land exactly on the vertex
-    if lam <= 0:
-        lam = np.finfo(np.float64).tiny
+    lam, a = math.inf, int(np.argmax(v))
+    while v[a] > 0:
+        nxt = float(np.max((c[a] + c) / (v[a] + v)))
+        if not nxt < lam:
+            break
+        lam = nxt
+        a = int(np.argmax(lam * v - c))
     _certify_minimax(v, c, lam)
-    return float(lam), g(float(lam))
+    return lam, float(np.max(np.abs(lam * v - c)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,19 @@ def grid_min_chebyshev(v, c, n_grid=10**6):
     return coarse_lam, coarse_val
 
 
+def chebyshev_vertex(v, c):
+    """(lambda*, delta) of min over lambda > 0 of max_i |lambda v_i - c_i| as
+    the smallest vertex: lambda* = min over a with v_a > 0 of max over b of
+    (c_a + c_b) / (v_a + v_b), the first lambda at which the rising line a
+    meets the falling envelope, all n x n ratios at once."""
+    v = np.asarray(v, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    rising = v > 0
+    ratios = (c[rising, None] + c[None, :]) / (v[rising, None] + v[None, :])
+    lam = float(ratios.max(axis=1).min())
+    return lam, float(np.max(np.abs(lam * v - c)))
+
+
 def linf_prox_objective_grid(z, rho, n_grid=200_001):
     """Best objective of min_u ||u||_inf + rho/2 ||u - z||^2 by scanning the
     clip threshold tau (the optimum clips z into [-tau, tau])."""

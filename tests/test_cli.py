@@ -134,6 +134,20 @@ class TestTrain:
                                        "violator_batch": 50,
                                        "max_generations": 2, "scan_seed": 3}
 
+    def test_solver_flag_defaults_come_from_solver_config(
+            self, dataset_file, tmp_path, monkeypatch, capsys):
+        patched = {"rho": 2.0, "eta": 1.5, "alpha_start": 2.0, "alpha_end": 4.0,
+                   "alpha_growth": 2.0, "convergence_tol": 1e-3,
+                   "max_outer_iters": 2, "seed": 7}
+        for name, value in patched.items():
+            monkeypatch.setattr(admm.SolverConfig, name, value)
+        out = tmp_path / "m.model"
+        assert cli.main(["train", "--data", str(dataset_file), "--algo", "lsh",
+                         "--bits", "4", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+        man = json.loads((tmp_path / "m.model.manifest.json").read_text())
+        assert {key: man["config"]["solver"][key] for key in patched} == patched
+
     def test_bre_on_too_few_pairs_usage_error(self, tmp_path):
         csv = tmp_path / "pts.csv"
         csv.write_text("".join(f"{i}.0,{i * i}.0\n" for i in range(5)))

@@ -312,8 +312,9 @@ class TestTrainCg:
             best = len(full) - 1 - full[::-1].index(min(full))
             assert report.best_generation == best
             assert max_distortion(model, data).delta == min(full)
-            assert report.delta_hat == report.history[best]["delta_hat"]
-            assert report.active_size == report.history[best]["active_size"]
+            # the record the CLI reports delta_hat and active_size from
+            assert report.history[best]["generation"] == best
+            assert report.history[best]["lambda"] == model.lam
 
     def test_clean_scan_returns_lowest_delta_generation(self, monkeypatch):
         # generation 0 scans violators at delta 1.0, generation 1 scans clean
@@ -343,8 +344,8 @@ class TestTrainCg:
         assert report.best_generation == 0
         assert model.w.tobytes() == solves[0].w.tobytes()
         assert model.w.tobytes() != solves[1].w.tobytes()
-        assert report.delta_hat == report.history[0]["delta_hat"]
-        assert report.active_size == report.history[0]["active_size"]
+        assert report.history[0]["generation"] == 0
+        assert report.history[0]["lambda"] == solves[0].lam
 
     def test_clean_scan_returns_scanned_generation(self):
         # the first sample holds every pair, so the first scan is clean

@@ -60,6 +60,44 @@ class TestFitLambda:
         with pytest.raises(ValueError, match="collapsed"):
             fit_lambda_chebyshev([0.0, 0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("v, c", [
+        ([1.0, np.nan], [1.0, 2.0]),
+        ([1.0, np.inf], [1.0, 2.0]),
+        ([1.0, 2.0], [np.nan, 2.0]),
+        ([1.0, 2.0], [1.0, -np.inf]),
+    ])
+    def test_non_finite_raises(self, v, c):
+        with pytest.raises(ValueError, match="v and c must be finite"):
+            fit_lambda_chebyshev(v, c)
+
+    @staticmethod
+    def _vertex_inputs():
+        yield np.array([0.0, 3.0]), np.array([0.0, 3.0])
+        yield np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 5.0])  # flat minimum
+        yield np.array([10.0, 10, 2, 13, 14]), np.array([1.7, 2.4, 3.1, 3.2, 3.3])
+        rng = np.random.default_rng(24)
+        for t in range(2000):
+            n = int(rng.integers(1, 13))
+            if t % 3 == 2:  # continuous
+                v = rng.uniform(0.0, 5.0, n) * (rng.random(n) > 0.2)
+                c = rng.uniform(0.0, 5.0, n)
+            else:  # Hamming-like levels with integer or 0.1-step targets
+                v = rng.integers(0, 9, n).astype(float)
+                c = rng.integers(0, 30, n) * (1.0 if t % 3 == 0 else 0.1)
+            if np.any(v > 0) and np.any(c > 0):
+                yield v, c
+
+    def test_vertex_matches_brute_force_oracle(self):
+        eps = np.finfo(np.float64).eps
+        for v, c in self._vertex_inputs():
+            lam, delta = fit_lambda_chebyshev(v, c)
+            rising = v > 0
+            ratios = (c[rising, None] + c) / (v[rising, None] + v)
+            assert np.any(ratios == lam), (v, c, lam)
+            assert delta == np.max(np.abs(lam * v - c))
+            _, delta_oracle = oracles.chebyshev_vertex(v, c)
+            assert delta <= delta_oracle + 4 * eps * max(1.0, delta), (v, c)
+
     def test_scaling_property(self):
         # scaling the targets scales both lambda* and delta
         rng = np.random.default_rng(5)
