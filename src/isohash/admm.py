@@ -35,7 +35,6 @@ returns the iterate whose quantized codes have the lowest delta.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -131,7 +130,6 @@ class SolverState:
     best_iteration: int = 0  # the iterate train_nibh returned as its model
     converged: bool = False
     diverged: bool = False
-    distance_convention: str = "unsquared-l2"
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +349,6 @@ def y_step(y, u, v, c, lam: float, eta: float) -> np.ndarray:
 # outer loop
 
 
-def _emit(progress, record: dict):
-    if progress is None:
-        return
-    if hasattr(progress, "write"):
-        progress.write(json.dumps(record) + "\n")
-    else:
-        progress(record)
-
-
 def _quantized_delta(w, points, i_idx, j_idx, c) -> tuple[Optional[float], float]:
     """(lambda*, delta): the Chebyshev fit of |lambda d_H - c| over the
     training secants (see :func:`train_nibh`); lambda* is None where no fit
@@ -386,8 +375,8 @@ def train_nibh(
     the final sigmoid rate.
 
     w0 defaults to the seeded Gaussian projection (identical to the LSH draw
-    for the same seed). ``progress`` receives one record per iteration (a
-    callable taking a dict, or a file-like that gets JSON lines).
+    for the same seed). ``progress``, if given, is called with a dict per
+    iteration: iteration, loss (sup_loss below), delta, alpha, lambda (ADMM's).
 
     The solve stops when the stop test passes (``converged``; it runs
     once alpha has reached alpha_end), when the divergence guard trips
@@ -467,10 +456,9 @@ def train_nibh(
         sup_loss = float(np.max(np.abs(state.lam * v - c)))
         lam_star, delta = _quantized_delta(state.w, pts, i_idx, j_idx, c)
         state.loss_history.append((it, sup_loss, delta))
-        _emit(progress, {
-            "iteration": it, "loss": sup_loss, "delta": delta,
-            "alpha": state.alpha, "lambda": state.lam,
-        })
+        if progress is not None:
+            progress({"iteration": it, "loss": sup_loss, "delta": delta,
+                      "alpha": state.alpha, "lambda": state.lam})
 
         if delta <= kept[0]:  # ties go to the later iterate
             kept = (delta, state.w, lam_star or state.lam, state.alpha, it)

@@ -12,7 +12,8 @@ manifest. Whatever the ``--algo`` and ``--secants``, the ``delta`` of a
 training data at the refit scale, the number that ``eval --metric delta``
 prints for the same model and data. ``check knn`` judges the neighbor gaps
 against that same delta, whatever scale the model file stores: a positive
-scale changes no Hamming ranking.
+scale changes no Hamming ranking. Only this module writes JSON: the stdout
+document, the ``--progress`` lines and the manifest.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
 5 check failure. A flag value that the parser or the library rejects exits
@@ -22,7 +23,8 @@ a ``--secants`` other than all, bre or sample:K with K >= 1, a solver or
 column-generation setting that ``SolverConfig`` or ``CgConfig`` rejects, a
 ``demo-fig1`` ``--grid-steps`` below 2 or ``--seed`` without the demo's
 contrast, a ``check lemma1`` ``--alpha`` or ``--sigma`` not positive or
-``--samples`` below 10^4), a flag the chosen command or metric does not use,
+``--samples`` below 10^4), a flag the chosen command or metric does not use
+(``--threads`` is for ``train``, ``eval --metric delta`` and ``check knn``),
 and a ``--k`` or ``--queries`` index or a ``--secants bre`` that the dataset
 cannot serve. Data errors: a missing input file, a queries file that does
 not parse as integers, a non-finite data value, a zero row in a dataset
@@ -94,28 +96,28 @@ class Manifest:
 
 
 def _open_progress(spec: str | None):
+    """A callable writing each record as a JSON line to ``spec`` (- is
+    stderr), and its closer."""
     if spec is None:
         return None, lambda: None
-    if spec == "-":
-        return sys.stderr, lambda: None
-    fh = open(spec, "w", encoding="utf-8")
-    return fh, fh.close
+    fh = sys.stderr if spec == "-" else open(spec, "w", encoding="utf-8")
+
+    def write(record: dict):
+        fh.write(json.dumps(record) + "\n")
+
+    return write, (lambda: None) if fh is sys.stderr else fh.close
 
 
-def _load_for_training(path: str) -> Dataset:
+def _load_data(path: str, model=None) -> Dataset:
+    """The dataset at ``path``, preprocessed for training or for ``model``."""
     ds = dataio.load_any(path)
-    if ds.normalized:
-        return ds
-    return dataio.preprocess(ds.points)
-
-
-def _load_for_model(path: str, model) -> Dataset:
-    ds = dataio.load_any(path)
-    if ds.n != model.n:
+    if model is not None and ds.n != model.n:
         raise dataio.DataFormatError(
             f"{path}: data has {ds.n} columns, the model expects {model.n}")
     if ds.normalized:
         return ds
+    if model is None:
+        return dataio.preprocess(ds.points)
     return dataio.preprocess_for_model(ds.points, model)
 
 
@@ -165,7 +167,7 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
     man.doc["seeds"]["seed"] = args.seed
 
     with man.phase("load"):
-        data = _load_for_training(args.data)
+        data = _load_data(args.data)
     report: dict = {
         "algo": args.algo,
         "bits": args.bits,
@@ -198,7 +200,7 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
                 "diverged": state.diverged,
                 "secants": args.secants,
                 "secant_count": len(secants),
-                "distance_convention": state.distance_convention,
+                "distance_convention": "unsquared-l2",
             })
         else:  # nibh-cg
             with man.phase("train"):
@@ -248,31 +250,40 @@ def _read_queries(path: str | None):
     return queries
 
 
+def _load_model_data(args, man):
+    """(model, data, queries) from ``--model``, ``--data`` and ``--queries``."""
+    man.fingerprint("data", args.data)
+    man.fingerprint("model", args.model)
+    with man.phase("load"):
+        model = dataio.load_model(args.model)
+        data = _load_data(args.data, model)
+    return model, data, _read_queries(args.queries)
+
+
 def cmd_eval(args, parser, man) -> tuple[dict, int]:
     if args.metric == "delta" and (args.k is not None or args.queries is not None):
         parser.error("--k and --queries apply only to --metric map or tau; "
                      "delta is measured over all pairs")
-    man.fingerprint("data", args.data)
-    man.fingerprint("model", args.model)
+    model, data, queries = _load_model_data(args, man)
+    k = {"map": 50, "tau": 10}.get(args.metric) if args.k is None else args.k
 
-    with man.phase("load"):
-        model = dataio.load_model(args.model)
-        data = _load_for_model(args.data, model)
-    queries = _read_queries(args.queries)
-
-    k = args.k
-    if k is None:
-        k = {"delta": 0, "map": 50, "tau": 10}[args.metric]
-
+    # one schema for every metric: a key that a metric lacks is null
     with man.phase("eval"):
         if args.metric == "delta":
             rep = metrics.max_distortion(model, data, n_threads=args.threads)
+            doc = {"metric": "delta", "k": None, "M": model.m, "value": rep.delta,
+                   "per_query": None, "lambda_star": rep.lambda_star, "delta": rep.delta}
         elif args.metric == "map":
-            rep = metrics.map_at_k(model, data, queries=queries, k=k)
+            rep = metrics.map_at_k(model, data, queries, k)
+            doc = {"metric": "map", "k": rep.k, "M": model.m, "value": rep.map,
+                   "per_query": rep.per_query_ap.tolist(), "lambda_star": None,
+                   "delta": None}
         else:
-            rep = metrics.kendall_tau_at_k(model, data, queries=queries, k=k)
-
-    return metrics.report_json(args.metric, model.m, rep), EXIT_OK
+            rep = metrics.kendall_tau_at_k(model, data, queries, k)
+            doc = {"metric": "tau", "k": rep.k, "M": model.m, "value": rep.mean_tau,
+                   "per_query": rep.per_query_tau.tolist(), "lambda_star": None,
+                   "delta": None}
+    return doc, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +345,7 @@ def cmd_check_lemma1(args, parser, man) -> tuple[dict, int]:
 
 
 def cmd_check_knn(args, parser, man) -> tuple[dict, int]:
-    man.fingerprint("data", args.data)
-    man.fingerprint("model", args.model)
-    with man.phase("load"):
-        model = dataio.load_model(args.model)
-        data = _load_for_model(args.data, model)
-    queries = _read_queries(args.queries)
+    model, data, queries = _load_model_data(args, man)
     with man.phase("check"):
         rep = theory.knn_sufficiency_check(model, data, queries=queries, k=args.k,
                                            n_threads=args.threads)
@@ -366,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Binary hashing by worst-case distance-distortion "
                     "minimization: training, evaluation, demos, checks.",
     )
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=int, default=None,
                    help="worker threads for all-pairs scans; a second "
                         "thread pays at 10^4 points, not at 2000 (default: 1)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -431,9 +437,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     command = f"check-{args.check}" if args.command == "check" else args.command
+    if args.threads is None:
+        args.threads = 1
+    elif args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
+    elif command in ("demo-fig1", "check-lemma1") or \
+            command == "eval" and args.metric != "delta":
+        parser.error("--threads applies only to the all-pairs scans of train, "
+                     "eval --metric delta and check knn")
     handler = {
         "train": cmd_train,
         "eval": cmd_eval,

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import metrics
-from .admm import SolverConfig, _emit, train_nibh
+from .admm import SolverConfig, train_nibh
 from .core import (
     BinaryCodes,
     Dataset,
@@ -145,6 +145,7 @@ def train_nibh_cg(
     scanned at its model's lambda, the lambda* of its codes over the
     resident secants, and delta_hat, their largest residual there; the same
     pass measures its refit delta over every pair (``full_delta``).
+    ``progress``, if given, is called with each record as history gets it.
 
     Stops when a full scan finds no violator or max_generations is
     exhausted; ``fully_satisfied`` says the run stopped on a clean scan,
@@ -185,7 +186,8 @@ def train_nibh_cg(
             "lambda": model.lam,
         }
         history.append(record)
-        _emit(progress, record)
+        if progress is not None:
+            progress(record)
         if clean or gen == config.max_generations:
             break
 

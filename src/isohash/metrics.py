@@ -55,7 +55,6 @@ __all__ = [
     "max_distortion",
     "map_at_k",
     "kendall_tau_at_k",
-    "report_json",
 ]
 
 @dataclass
@@ -351,36 +350,3 @@ def kendall_tau_at_k(
         concordant.append(np.sign(keys[:, upper[1]] - keys[:, upper[0]]).sum(axis=1))
     taus = np.concatenate(concordant) / len(upper[0])
     return NeighborReport(k=k, mean_tau=float(taus.mean()), per_query_tau=taus)
-
-
-# ---------------------------------------------------------------------------
-# stable JSON schema
-
-
-def report_json(metric: str, m: int, report) -> dict:
-    """Serialize a report to the stable schema
-    {metric, k, M, value, per_query, lambda_star, delta}."""
-    out = {
-        "metric": metric,
-        "k": None,
-        "M": m,
-        "value": None,
-        "per_query": None,
-        "lambda_star": None,
-        "delta": None,
-    }
-    if isinstance(report, DistortionReport):
-        out["value"] = report.delta
-        out["lambda_star"] = report.lambda_star
-        out["delta"] = report.delta
-    elif isinstance(report, NeighborReport):
-        out["k"] = report.k
-        if metric == "map":
-            out["value"] = report.map
-            out["per_query"] = [float(x) for x in report.per_query_ap]
-        else:
-            out["value"] = report.mean_tau
-            out["per_query"] = [float(x) for x in report.per_query_tau]
-    else:
-        raise TypeError(f"unknown report type {type(report)!r}")
-    return out

@@ -255,17 +255,38 @@ class TestTrain:
         assert json.loads(res.stdout)["secant_count"] == 40
 
     def test_progress_file(self, dataset_file, tmp_path):
+        admm_keys = {"iteration", "loss", "delta", "alpha", "lambda"}
+        cg_keys = {"generation", "active_size", "violators_found", "delta_hat",
+                   "full_delta", "lambda"}
+        cg_flags = ["--init-sample", "100", "--violator-batch", "50",
+                    "--max-gens", "2"]
         out = tmp_path / "m.model"
         prog = tmp_path / "progress.jsonl"
+        # one line per ADMM iteration from 1, or per CG generation from 0
+        for algo, keys, counter, first, flags in (
+                ("nibh", admm_keys, "iteration", 1, []),
+                ("nibh-cg", cg_keys, "generation", 0, cg_flags)):
+            res = run_cli(
+                "train", "--data", str(dataset_file), "--algo", algo,
+                "--bits", "4", "--max-iters", "5", "--out", str(out), *flags,
+                "--progress", str(prog), cwd=tmp_path,
+            )
+            assert res.returncode == 0, res.stderr
+            records = [json.loads(ln) for ln in prog.read_text().splitlines()]
+            assert records and all(set(rec) == keys for rec in records)
+            iterations = json.loads(res.stdout)["iterations"]
+            assert [rec[counter] for rec in records] == list(range(first, iterations + 1))
+        # "-" sends the lines to stderr, and stdout holds the report alone
         res = run_cli(
             "train", "--data", str(dataset_file), "--algo", "nibh",
             "--bits", "4", "--max-iters", "5", "--out", str(out),
-            "--progress", str(prog), cwd=tmp_path,
+            "--progress", "-", cwd=tmp_path,
         )
         assert res.returncode == 0, res.stderr
-        lines = prog.read_text().strip().splitlines()
-        assert lines and all(json.loads(ln)["iteration"] >= 1 for ln in lines)
-
+        iterations = json.loads(res.stdout)["iterations"]
+        records = [json.loads(ln) for ln in res.stderr.splitlines()]
+        assert all(set(rec) == admm_keys for rec in records)
+        assert [rec["iteration"] for rec in records] == list(range(1, iterations + 1))
 
     def test_lsh_fits_and_measures_in_one_pass(self, dataset_file, tmp_path,
                                                monkeypatch, capsys):
@@ -284,7 +305,7 @@ class TestTrain:
         assert scans == [60]
         doc = json.loads(capsys.readouterr().out)
         # the scale and delta of a separate fit and measurement
-        data = cli._load_for_training(str(dataset_file))
+        data = cli._load_data(str(dataset_file))
         model = lsh_fit(8, data, 3)[0]
         assert doc["lambda"] == model.lam == load_model(out).lam
         assert doc["delta"] == metrics.max_distortion(model, data).delta
@@ -380,6 +401,22 @@ class TestEval:
         assert doc["k"] == 10
         assert -1.0 <= doc["value"] <= 1.0
 
+    def test_json_schema_keys(self, dataset_file, trained, capsys):
+        # every metric prints the same seven keys, in this order
+        d, model_path, _ = trained
+        docs = {}
+        for metric, k in (("delta", []), ("map", ["--k", "4"]), ("tau", ["--k", "4"])):
+            assert cli.main(["eval", "--model", str(model_path), "--data",
+                             str(dataset_file), "--metric", metric, *k,
+                             "--manifest", str(d / "schema.manifest.json")]) == 0
+            docs[metric] = json.loads(capsys.readouterr().out)
+            assert list(docs[metric]) == ["metric", "k", "M", "value", "per_query",
+                                          "lambda_star", "delta"]
+        drep, mrep, trep = docs["delta"], docs["map"], docs["tau"]
+        assert drep["value"] == drep["delta"]
+        assert mrep["k"] == 4 and len(mrep["per_query"]) == 60
+        assert trep["value"] == pytest.approx(np.mean(trep["per_query"]))
+
     def test_queries_file(self, dataset_file, trained):
         d, model_path, _ = trained
         qf = d / "queries.txt"
@@ -447,6 +484,35 @@ def test_library_rejections_are_usage_errors(args, message, tmp_path):
     res = run_cli(*args, cwd=tmp_path)
     assert res.returncode == 2
     assert message in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    ("eval --model {model} --data {data} --metric map", 2),
+    ("eval --model {model} --data {data} --metric tau", 2),
+    ("demo-fig1 --grid-steps 90", 2),
+    ("check lemma1 --alpha 4 --sigma 1 --samples 10000", 2),
+    ("eval --model {model} --data {data} --metric delta", 0),
+    ("check knn --model {model} --data {data}", 0),
+    ("train --data {data} --algo lsh --bits 4 --out out.model", 0),
+])
+def test_threads_only_for_all_pairs_scans(args, code, dataset_file, tmp_path,
+                                          monkeypatch, capsys):
+    # map, tau, the demo and lemma 1 run no all-pairs scan, so an explicit
+    # --threads is a flag they do not use
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "lsh.model"
+    save_model(lsh_fit(4, preprocess(load_any(dataset_file).points), 0)[0], model)
+    argv = ["--threads", "2",
+            *(arg.format(model=model, data=dataset_file) for arg in args.split())]
+    if code == 0:
+        assert cli.main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert "--threads" in captured.err and captured.out == ""
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 class TestCheck:

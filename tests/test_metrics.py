@@ -11,7 +11,6 @@ from isohash.metrics import (
     kendall_tau_at_k,
     map_at_k,
     max_distortion,
-    report_json,
 )
 from isohash.theory import knn_sufficiency_check
 
@@ -432,19 +431,3 @@ class TestDatasetMemo:
         want = oracles.brute_knn(self.pts, bits, queries, 5, rep.delta)
         for a, b in zip((gap.per_query_gap, gap.satisfied_queries, gap.preserved), want):
             np.testing.assert_array_equal(a, b)
-
-
-class TestReportJson:
-    def test_schema_keys(self):
-        rng = np.random.default_rng(7)
-        data = Dataset(rng.standard_normal((12, 4)))
-        model = make_model(random_projection_matrix(3, 4, 0))
-        drep = report_json("delta", 3, max_distortion(model, data))
-        mrep = report_json("map", 3, map_at_k(model, data, k=4))
-        trep = report_json("tau", 3, kendall_tau_at_k(model, data, k=4))
-        keys = {"metric", "k", "M", "value", "per_query", "lambda_star", "delta"}
-        for rep in (drep, mrep, trep):
-            assert set(rep) == keys
-        assert drep["value"] == drep["delta"]
-        assert mrep["k"] == 4 and len(mrep["per_query"]) == 12
-        assert trep["value"] == pytest.approx(np.mean(trep["per_query"]))

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +74,21 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_only_cli_and_dataio_import_json():
+    # the library hands results back as objects and progress records as
+    # dicts; the CLI alone serializes them, and dataio writes the JSON
+    # header of a model file
+    importers = set()
+    for path in sorted(Path(admm.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.add(path.stem)
+    assert importers == {"cli", "dataio"}
