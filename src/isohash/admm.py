@@ -126,7 +126,7 @@ class SolverState:
     lam: float
     alpha: float
     iteration: int = 0
-    loss_history: list = field(default_factory=list)  # (iter, sup_loss, delta)
+    history: list = field(default_factory=list)  # the progress records, in order
     best_iteration: int = 0  # the iterate train_nibh returned as its model
     converged: bool = False
     diverged: bool = False
@@ -325,16 +325,16 @@ def u_step(z: np.ndarray, rho: float) -> np.ndarray:
     return z - project_l1_ball(z, 1.0 / rho)
 
 
-def lambda_step(u, v, c, y, lambda_min: float, prev_lam: float) -> float:
+def lambda_step(u, v, c, y, prev_lam: float) -> float:
     """Positive least-squares scale: the unconstrained minimizer of
-    0.5 ||u - lambda v + c + y||^2 clamped to [lambda_min, inf)."""
+    0.5 ||u - lambda v + c + y||^2 clamped to [_LAMBDA_MIN, inf)."""
     v = np.asarray(v, dtype=np.float64)
     vv = float(v @ v)
     if vv == 0.0:
         warnings.warn("relaxed distances identically zero; keeping previous lambda")
         return prev_lam
     lam = float(v @ (np.asarray(u) + np.asarray(c) + np.asarray(y))) / vv
-    return max(lambda_min, lam)
+    return max(_LAMBDA_MIN, lam)
 
 
 def y_step(y, u, v, c, lam: float, eta: float) -> np.ndarray:
@@ -351,15 +351,9 @@ def y_step(y, u, v, c, lam: float, eta: float) -> np.ndarray:
 
 def _quantized_delta(w, points, i_idx, j_idx, c) -> tuple[Optional[float], float]:
     """(lambda*, delta): the Chebyshev fit of |lambda d_H - c| over the
-    training secants (see :func:`train_nibh`); lambda* is None where no fit
-    exists, when every c or every d_H is 0."""
-    codes = hash_matrix(w, points)
-    dh = hamming_pairs(codes, i_idx, j_idx).astype(np.float64)
-    if not np.any(c > 0):
-        return None, 0.0
-    if not np.any(dh > 0):
-        return None, float(c.max())
-    return fit_lambda_chebyshev(dh, c)
+    training secants (see :func:`train_nibh`), None as lambda* where the
+    fit has no minimizer."""
+    return fit_lambda_chebyshev(hamming_pairs(hash_matrix(w, points), i_idx, j_idx), c)
 
 
 def train_nibh(
@@ -375,8 +369,9 @@ def train_nibh(
     the final sigmoid rate.
 
     w0 defaults to the seeded Gaussian projection (identical to the LSH draw
-    for the same seed). ``progress``, if given, is called with a dict per
-    iteration: iteration, loss (sup_loss below), delta, alpha, lambda (ADMM's).
+    for the same seed). Each iteration appends a record, a dict of
+    iteration, loss (sup_loss below), delta, alpha and lambda (ADMM's), to
+    ``state.history``, and passes it to ``progress`` if given.
 
     The solve stops when the stop test passes (``converged``; it runs
     once alpha has reached alpha_end), when the divergence guard trips
@@ -385,14 +380,13 @@ def train_nibh(
     max_outer_iters iterations.
 
     Returns the trained model and the solver state. Every solve, diverged
-    or not, returns the iterate with the lowest delta in loss_history (the
+    or not, returns the iterate with the lowest delta in history (the
     later one on a tie), with that iterate's W and alpha, and as lambda its
     lambda*, the Chebyshev fit of its codes over the training secants (the
     solver's lambda where no fit exists); ``state.best_iteration`` names
     it. The rest of the state describes the last iterate, ``state.lam``
-    being ADMM's least-squares lambda. loss_history has one row per
-    iteration run, (iteration, sup_loss, delta): sup_loss is
-    ||lambda v - c||_inf at the solver's lambda, delta the distortion of
+    being ADMM's least-squares lambda. In each record, sup_loss is
+    ||lambda v - c||_inf at the solver's lambda, and delta the distortion of
     the quantized codes over the training secants at their lambda*. When
     the secants are every pair, that delta is the one
     metrics.max_distortion reports for the model, to rounding; on collapsed
@@ -450,15 +444,15 @@ def train_nibh(
         state.w = w_step(state, secants, data, config, layout)
         v = relaxed_dists(state.w, state.alpha)
         state.u = u_step(state.lam * v - c - state.y, config.rho)
-        state.lam = lambda_step(state.u, v, c, state.y, _LAMBDA_MIN, state.lam)
+        state.lam = lambda_step(state.u, v, c, state.y, state.lam)
         state.y = y_step(state.y, state.u, v, c, state.lam, config.eta)
 
         sup_loss = float(np.max(np.abs(state.lam * v - c)))
         lam_star, delta = _quantized_delta(state.w, pts, i_idx, j_idx, c)
-        state.loss_history.append((it, sup_loss, delta))
+        state.history.append({"iteration": it, "loss": sup_loss, "delta": delta,
+                              "alpha": state.alpha, "lambda": state.lam})
         if progress is not None:
-            progress({"iteration": it, "loss": sup_loss, "delta": delta,
-                      "alpha": state.alpha, "lambda": state.lam})
+            progress(state.history[-1])
 
         if delta <= kept[0]:  # ties go to the later iterate
             kept = (delta, state.w, lam_star or state.lam, state.alpha, it)

@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Dataset, HashModel, SecantBatch, random_projection_matrix,
-                   ranked_neighbors)
+from .core import Dataset, HashModel, SecantBatch, random_projection_matrix
 from .metrics import DistortionReport, fit_lambda_chebyshev, max_distortion
 
 __all__ = [
@@ -42,7 +41,6 @@ DEFAULT_GRID_STEPS = 3600
 class GridSearchResult:
     best_angle: float  # radians in [0, pi)
     distortion: float
-    norm_kind: str  # "linf" | "l2"
     profile: np.ndarray  # (grid_steps, 2) columns: angle, distortion
 
 
@@ -78,8 +76,6 @@ def _scaled_distortion(p: np.ndarray, c: np.ndarray, norm_kind: str) -> float:
         lam = float(p @ c) / pp
         return float(np.linalg.norm(lam * p - c))
     if norm_kind == "linf":
-        if not np.any(p > 0):
-            return float(np.max(c))
         return fit_lambda_chebyshev(p, c)[1]
     raise ValueError(f"norm_kind must be 'linf' or 'l2', got {norm_kind!r}")
 
@@ -110,27 +106,28 @@ def grid_search_embedding_1d(points: np.ndarray, norm_kind: str,
         if val < best[0]:
             best = (val, ang)
     return GridSearchResult(best_angle=float(best[1]), distortion=float(best[0]),
-                            norm_kind=norm_kind, profile=profile)
+                            profile=profile)
 
 
 # ---------------------------------------------------------------------------
 # the three-cluster demonstration dataset
 
 
-def nn_order_preserved(points: np.ndarray, angle: float):
-    """Compare the neighbor ordering of the query (point 0) in the ambient
-    plane against the 1-D projection at the given angle.
-
-    Returns (fully_preserved, ambient_order, projected_order) where the
-    orders list the other point indices nearest-first (ties by index).
-    """
+def _query_distances(points: np.ndarray, angle: float):
+    """Distances from the query (point 0) to every point, in the ambient
+    plane and along the 1-D projection at the given angle."""
     points = np.asarray(points, dtype=np.float64)
-    d_amb = np.linalg.norm(points - points[0], axis=1)
     proj = points @ np.array([np.cos(angle), np.sin(angle)])
-    d_emb = np.abs(proj - proj[0])
-    ambient = ranked_neighbors(d_amb, 0)
-    projected = ranked_neighbors(d_emb, 0)
-    return bool(np.array_equal(ambient, projected)), ambient, projected
+    return np.linalg.norm(points - points[0], axis=1), np.abs(proj - proj[0])
+
+
+def nn_order_preserved(points: np.ndarray, angle: float) -> bool:
+    """True when the query (point 0) ranks the points, nearest first with
+    ties by index, the same in the ambient plane as in the 1-D projection at
+    the given angle (the query itself, at distance 0, ranks first in both)."""
+    d_amb, d_emb = _query_distances(points, angle)
+    return bool(np.array_equal(np.argsort(d_amb, kind="stable"),
+                               np.argsort(d_emb, kind="stable")))
 
 
 def circle_square_misordered(points: np.ndarray, labels: np.ndarray,
@@ -138,10 +135,7 @@ def circle_square_misordered(points: np.ndarray, labels: np.ndarray,
     """True when some circle/square pair swaps its order of distance to the
     query (point 0) between the ambient plane and the 1-D projection at the
     given angle."""
-    points = np.asarray(points, dtype=np.float64)
-    d_amb = np.linalg.norm(points - points[0], axis=1)
-    proj = points @ np.array([np.cos(angle), np.sin(angle)])
-    d_emb = np.abs(proj - proj[0])
+    d_amb, d_emb = _query_distances(points, angle)
     circles = [t for t in np.nonzero(labels == "circle")[0] if t != 0]
     squares = [t for t in np.nonzero(labels == "square")[0] if t != 0]
     for a in circles:
@@ -199,8 +193,8 @@ def make_fig1_dataset(seed: int = DEMO_DATASET_SEED,
     pts, labels = _cluster_geometry(seed)
     linf = grid_search_embedding_1d(pts, "linf", grid_steps)
     l2 = grid_search_embedding_1d(pts, "l2", grid_steps)
-    linf_ok, _, _ = nn_order_preserved(pts, linf.best_angle)
-    l2_ok, _, _ = nn_order_preserved(pts, l2.best_angle)
+    linf_ok = nn_order_preserved(pts, linf.best_angle)
+    l2_ok = nn_order_preserved(pts, l2.best_angle)
     if not linf_ok or l2_ok:
         raise ValueError(
             f"seed {seed} does not exhibit the worst-case-vs-average contrast "

@@ -305,13 +305,14 @@ def cmd_demo_fig1(args, parser, man) -> tuple[dict, int]:
         with open(prof_path, "w", encoding="utf-8") as fh:
             fh.write("angle_rad,linf_distortion,l2_distortion\n")
             for (ang, dv), (_, dv2) in zip(linf.profile, l2.profile):
-                fh.write(f"{ang!r},{dv!r},{dv2!r}\n")
+                fh.write(f"{float(ang)!r},{float(dv)!r},{float(dv2)!r}\n")
         d_linf = np.array([np.cos(linf.best_angle), np.sin(linf.best_angle)])
         d_l2 = np.array([np.cos(l2.best_angle), np.sin(l2.best_angle)])
         with open(proj_path, "w", encoding="utf-8") as fh:
             fh.write("x,y,label,proj_linf,proj_l2\n")
             for p, lab in zip(pts, labels):
-                fh.write(f"{p[0]!r},{p[1]!r},{lab},{p @ d_linf!r},{p @ d_l2!r}\n")
+                x, y, a, b = (float(t) for t in (p[0], p[1], p @ d_linf, p @ d_l2))
+                fh.write(f"{x!r},{y!r},{lab},{a!r},{b!r}\n")
         man.doc["artifacts"] += [prof_path, proj_path]
 
     doc = {

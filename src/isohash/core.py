@@ -71,7 +71,6 @@ __all__ = [
     "map_tiles",
     "query_neighbors",
     "hamming_kth",
-    "ranked_neighbors",
     "sample_pair_indices",
     "random_projection_matrix",
 ]
@@ -514,13 +513,6 @@ def hamming_kth(h: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
     keys[np.arange(block.size), block] = np.iinfo(dtype).max
     keys.partition(k - 1, axis=1)
     return keys[:, k - 1]
-
-
-def ranked_neighbors(dist: np.ndarray, query: int) -> np.ndarray:
-    """Indices of every point but ``query``, nearest first by ``dist`` with
-    ties broken by ascending index."""
-    order = np.argsort(dist, kind="stable")
-    return order[order != query]
 
 
 def sample_pair_indices(total: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,6 @@ from .core import DataFormatError, Dataset, HashModel, SecantBatch, secant_count
 __all__ = [
     "DataFormatError",
     "preprocess",
-    "preprocess_with",
     "preprocess_for_model",
     "bre_secant_selection",
     "gen_random_dataset",
@@ -49,15 +48,18 @@ MODEL_VERSION = 1
 # preprocessing
 
 
-def _center_and_normalize(raw: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    centered = raw - mean
+def _normalized(raw: np.ndarray, mean: np.ndarray) -> Dataset:
+    """The rows of ``raw`` centered on ``mean``, each scaled to unit l2 norm."""
+    centered = np.asarray(raw, dtype=np.float64) - mean
     norms = np.linalg.norm(centered, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise DataFormatError(
             f"row {int(zero[0])} is zero after centering and cannot be normalized"
         )
-    return centered / norms[:, None]
+    points = centered / norms[:, None]
+    del centered  # before Dataset checks the norms through a Q x N temporary
+    return Dataset(points, mean=mean, normalized=True)
 
 
 def preprocess(raw: np.ndarray) -> Dataset:
@@ -65,46 +67,40 @@ def preprocess(raw: np.ndarray) -> Dataset:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 2:
         raise DataFormatError(f"need a Q x N matrix with Q >= 2, got {raw.shape}")
-    return preprocess_with(raw, raw.mean(axis=0))
-
-
-def preprocess_with(raw: np.ndarray, mean: np.ndarray) -> Dataset:
-    """Apply a previously computed mean (then unit-normalize); the path for
-    hashing unseen data consistently with a trained model."""
-    raw = np.asarray(raw, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    return Dataset(_center_and_normalize(raw, mean), mean=mean, normalized=True)
+    return _normalized(raw, raw.mean(axis=0))
 
 
 def preprocess_for_model(raw: np.ndarray, model: HashModel) -> Dataset:
+    """Unseen data prepared as the model's training data was: centered on
+    the model's mean, then unit-normalized if that data was."""
     if not model.normalized:
         raw = np.asarray(raw, dtype=np.float64)
         return Dataset(raw - model.mean, mean=model.mean, normalized=False)
-    return preprocess_with(raw, model.mean)
+    return _normalized(raw, model.mean)
 
 
 # ---------------------------------------------------------------------------
 # BRE-style secant selection
 
 
-def bre_secant_selection(data: Dataset, low_frac: float = 0.05,
-                         high_frac: float = 0.02) -> SecantBatch:
-    """The nearest low_frac of all pairs with their targets overridden to
-    zero, plus the farthest high_frac with true targets.
+_BRE_LOW_FRAC = 0.05
+_BRE_HIGH_FRAC = 0.02
+
+
+def bre_secant_selection(data: Dataset) -> SecantBatch:
+    """The nearest 5% of all pairs (_BRE_LOW_FRAC) with their targets
+    overridden to zero, plus the farthest 2% (_BRE_HIGH_FRAC) with true
+    targets.
 
     Counts are floors of frac * |S|; distance ties break by pair index.
     Materializes all pair distances, so intended for small Q.
     """
-    if not (0 < low_frac < 1 and 0 < high_frac < 1 and low_frac + high_frac <= 1):
-        raise ValueError(f"bad fractions ({low_frac}, {high_frac})")
     total = secant_count(data.q)
-    n_low = int(low_frac * total + 1e-9)
-    n_high = int(high_frac * total + 1e-9)
+    n_low = int(_BRE_LOW_FRAC * total + 1e-9)
+    n_high = int(_BRE_HIGH_FRAC * total + 1e-9)
     if n_low == 0 or n_high == 0:
-        raise ValueError(
-            f"Q={data.q} gives {total} pairs; fractions ({low_frac}, {high_frac}) "
-            "select zero secants"
-        )
+        raise ValueError(f"Q={data.q} gives {total} pairs; fractions ("
+                         f"{_BRE_LOW_FRAC}, {_BRE_HIGH_FRAC}) select zero secants")
     pairs = SecantBatch.all_pairs(data.points)
     order = np.argsort(pairs.c, kind="stable")  # ties keep stream order
     low = np.sort(order[:n_low])

@@ -104,7 +104,7 @@ def _certify_minimax(v: np.ndarray, c: np.ndarray, lam: float) -> None:
         )
 
 
-def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
+def fit_lambda_chebyshev(v_hat, c) -> tuple[Optional[float], float]:
     """Minimize g(lambda) = max_i |lambda v_i - c_i| over lambda > 0.
 
     A monotone descent over the vertices (c_a + c_b) / (v_a + v_b), in the
@@ -121,7 +121,8 @@ def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
     the descent. The optimality certificate (left and right subgradients
     bracketing zero) is asserted on every call.
 
-    Returns (lambda_star, delta).
+    Returns (lambda_star, delta), lambda_star None where no minimizer
+    exists: when every c is 0 (delta 0), or else every v is 0 (delta max c).
     """
     v = np.asarray(v_hat, dtype=np.float64).ravel()
     c = np.asarray(c, dtype=np.float64).ravel()
@@ -131,10 +132,10 @@ def fit_lambda_chebyshev(v_hat, c) -> tuple[float, float]:
         raise ValueError("v and c must be finite (no NaN or inf)")
     if v.min(initial=0.0) < 0 or c.min(initial=0.0) < 0:
         raise ValueError("v and c must be nonnegative")
-    if not np.any(v > 0):
-        raise ValueError(f"embedding collapsed; delta = max c = {c.max():g}")
     if not np.any(c > 0):
-        raise ValueError("all target distances are zero; no positive minimizer")
+        return None, 0.0
+    if not np.any(v > 0):
+        return None, float(c.max())
 
     lam, a = math.inf, int(np.argmax(v))
     while v[a] > 0:
@@ -181,14 +182,11 @@ def _refit_report(lo, hi, level, c, pos, q: int) -> DistortionReport:
     fitted to the level extremes, and delta and the worst secant (ties to
     the smallest stream position) from the kept pairs."""
     held = np.flatnonzero(lo <= hi)  # the levels some pair sits at
-    v, ends = np.r_[held, held].astype(np.float64), np.r_[lo[held], hi[held]]
-    if np.any(v > 0):
-        lam_star = fit_lambda_chebyshev(v, ends)[0]
-    elif ends.max(initial=0.0) == 0.0:
-        lam_star = 1.0  # every pair coincides in both spaces: vacuously isometric
-    else:
-        raise DataFormatError(
-            f"embedding collapsed; delta = max c = {ends.max():g}")
+    lam_star, delta = fit_lambda_chebyshev(np.r_[held, held],
+                                           np.r_[lo[held], hi[held]])
+    if lam_star is None and delta > 0:
+        raise DataFormatError(f"embedding collapsed; delta = max c = {delta:g}")
+    lam_star = 1.0 if lam_star is None else lam_star  # every c = 0: vacuously isometric
     resid = np.abs(lam_star * level - c)  # as the pass's literal recheck
     at = np.flatnonzero(resid == resid.max())
     k = at[np.argmin(pos[at])]

@@ -384,17 +384,17 @@ class TestWStep:
 class TestLambdaStep:
     def test_exact_ratio(self):
         assert lambda_step([1.0, 1.0], [1.0, 1.0], [0.5, 0.5], [0.5, 0.5],
-                           1e-8, 1.0) == pytest.approx(2.0)
+                           1.0) == pytest.approx(2.0)
 
     def test_orthogonal_clamps_to_min(self):
         # u + c + y orthogonal to v
         lam = lambda_step([1.0, -1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0],
-                          1e-8, 1.0)
+                          1.0)
         assert lam == 1e-8
 
     def test_zero_v_keeps_previous_and_warns(self):
         with pytest.warns(UserWarning):
-            lam = lambda_step([1.0], [0.0], [1.0], [0.0], 1e-8, 0.77)
+            lam = lambda_step([1.0], [0.0], [1.0], [0.0], 0.77)
         assert lam == 0.77
 
     @pytest.mark.parametrize("seed", range(5))
@@ -405,7 +405,7 @@ class TestLambdaStep:
         v = np.abs(rng.standard_normal(n)) + 0.1
         c = np.abs(rng.standard_normal(n))
         y = rng.standard_normal(n)
-        lam = lambda_step(u, v, c, y, 1e-8, 1.0)
+        lam = lambda_step(u, v, c, y, 1.0)
 
         def obj(l):
             r = u - l * v + c + y
@@ -468,23 +468,24 @@ class TestTrainNibh:
                          normalized=True)
         delta_init = max_distortion(init, self.data).delta
         model, state = train_nibh(self.data, self.secants, m, cfg)
-        delta_final = state.loss_history[-1][2]
+        delta_final = state.history[-1]["delta"]
         assert delta_final < delta_init
 
     def test_history_finite_and_self_consistent(self):
         cfg = SolverConfig(max_outer_iters=25, seed=1)
         model, state = train_nibh(self.data, self.secants, 6, cfg)
-        hist = np.array(state.loss_history)
+        hist = np.array([[rec["iteration"], rec["loss"], rec["delta"]]
+                         for rec in state.history])
         assert np.all(np.isfinite(hist))
         # bookkeeping delta equals the metrics measurement recomputed from scratch
         rep = max_distortion(model, self.data)
         assert rep.delta == pytest.approx(
-            state.loss_history[state.best_iteration - 1][2], abs=1e-12)
+            state.history[state.best_iteration - 1]["delta"], abs=1e-12)
 
     def test_returns_latest_lowest_delta_iterate(self):
         cfg = SolverConfig(max_outer_iters=10, seed=5)
         model, state = train_nibh(self.data, self.secants, 5, cfg)
-        deltas = [row[2] for row in state.loss_history]
+        deltas = [rec["delta"] for rec in state.history]
         best = len(deltas) - deltas[::-1].index(min(deltas))
         assert state.best_iteration == best
         # this solve ends above its best, which it reaches more than once
@@ -507,7 +508,7 @@ class TestTrainNibh:
         model, state = train_nibh(self.data, self.secants, 5,
                                   SolverConfig(max_outer_iters=30, seed=0))
         assert state.diverged and not state.converged
-        assert len(state.loss_history) == state.iteration
+        assert len(state.history) == state.iteration
         assert state.best_iteration < state.iteration
         # the first ``best_iteration`` iterations of the same solve end there
         cut, cut_state = train_nibh(
@@ -534,7 +535,7 @@ class TestTrainNibh:
         m2, s2 = train_nibh(self.data, self.secants, 5, cfg)
         assert m1.w.tobytes() == m2.w.tobytes()
         assert m1.lam == m2.lam
-        assert s1.loss_history == s2.loss_history
+        assert s1.history == s2.history
 
     def test_progress_sink_receives_records(self):
         records = []
@@ -543,6 +544,17 @@ class TestTrainNibh:
         assert len(records) >= 1
         for rec in records:
             assert set(rec) == {"iteration", "loss", "delta", "alpha", "lambda"}
+
+    def test_history_is_the_progress_records(self):
+        # the state keeps exactly the records the progress callable was
+        # given, in order, one per iteration
+        records = []
+        cfg = SolverConfig(max_outer_iters=6, seed=4)
+        _, state = train_nibh(self.data, self.secants, 4, cfg,
+                              progress=records.append)
+        assert state.history == records
+        assert [rec["iteration"] for rec in state.history] == \
+            list(range(1, state.iteration + 1))
 
     @pytest.mark.parametrize("tol", [1e-2, 1e-3])
     def test_converged_implies_alpha_end(self, tol):
@@ -572,7 +584,7 @@ class TestTrainNibh:
         records = []
         model, state = train_nibh(data, sec, 4, SolverConfig(max_outer_iters=6, seed=1),
                                   progress=records.append)
-        assert all(row[2] == sec.c.max() for row in state.loss_history)
+        assert all(rec["delta"] == sec.c.max() for rec in state.history)
         assert state.best_iteration == state.iteration  # ties go to the later
         assert model.lam == state.lam == records[-1]["lambda"] > 0.0
 

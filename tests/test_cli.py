@@ -456,6 +456,12 @@ class TestDemo:
         assert len(prof) == 721
         proj = (tmp_path / "fig1.projections.csv").read_text().splitlines()
         assert len(proj) == 71
+        # every value parses as a number; the label column is text
+        rows = [line.split(",") for line in prof[1:]]
+        assert np.array(rows, dtype=np.float64).shape == (720, 3)
+        rows = [line.split(",") for line in proj[1:]]
+        assert {r[2] for r in rows} == {"circle", "square", "star"}
+        assert np.array([r[:2] + r[3:] for r in rows], dtype=np.float64).shape == (70, 4)
 
 
     def test_fig1_searches_once(self, tmp_path, monkeypatch, capsys):

@@ -15,7 +15,7 @@ from isohash.dataio import (
     load_idx,
     load_model,
     preprocess,
-    preprocess_with,
+    preprocess_for_model,
     save_binary,
     save_model,
 )
@@ -49,11 +49,13 @@ class TestPreprocess:
         with pytest.raises(DataFormatError, match="row 2"):
             preprocess(x)
 
-    def test_preprocess_with_reproduces_training_transform(self):
+    def test_preprocess_for_model_reproduces_training_transform(self):
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((20, 7))
         ds = preprocess(raw)
-        again = preprocess_with(raw, ds.mean)
+        model = HashModel(w=np.ones((2, 7)), lam=1.0, alpha=10.0,
+                          mean=ds.mean, normalized=True)
+        again = preprocess_for_model(raw, model)
         np.testing.assert_array_equal(again.points, ds.points)
 
 
@@ -68,14 +70,14 @@ class TestBreSelection:
 
     def test_low_pairs_carry_zero_targets(self):
         ds = gen_random_dataset(30, 5, seed=2)
-        batch = bre_secant_selection(ds, 0.10, 0.05)
+        batch = bre_secant_selection(ds)
         zeros = batch.c == 0.0
         total = secant_count(30)
-        assert int(zeros.sum()) == int(0.10 * total + 1e-9)
+        assert int(zeros.sum()) == int(0.05 * total + 1e-9)
 
     def test_high_pairs_match_brute_force(self):
         ds = gen_random_dataset(30, 5, seed=7)
-        batch = bre_secant_selection(ds, 0.10, 0.02)
+        batch = bre_secant_selection(ds)
         n_high = int(0.02 * secant_count(30) + 1e-9)
         # exhaustive top-2% by distance
         dists = []

@@ -55,9 +55,10 @@ class TestFitLambda:
         _, delta_grid = oracles.grid_min_chebyshev(v, c)
         assert abs(delta - delta_grid) < 1e-6
 
-    def test_collapsed_raises(self):
-        with pytest.raises(ValueError, match="collapsed"):
-            fit_lambda_chebyshev([0.0, 0.0], [1.0, 2.0])
+    def test_no_minimizer_gives_none(self):
+        # every v zero: delta is max c at any lambda; every c zero: delta 0
+        assert fit_lambda_chebyshev([0, 0], [1, 2]) == (None, 2.0)
+        assert fit_lambda_chebyshev([1, 2], [0, 0]) == (None, 0.0)
 
     @pytest.mark.parametrize("v, c", [
         ([1.0, np.nan], [1.0, 2.0]),

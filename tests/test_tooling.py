@@ -1,4 +1,5 @@
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -92,3 +93,17 @@ def test_only_cli_and_dataio_import_json():
             if any(name.split(".")[0] == "json" for name in names):
                 importers.add(path.stem)
     assert importers == {"cli", "dataio"}
+
+
+def test_every_module_all_resolves():
+    # each name a module exports must exist, so ``import *`` cannot fail on
+    # a name that was deleted but left in __all__
+    package = Path(admm.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        name = "isohash" if path.stem == "__init__" else f"isohash.{path.stem}"
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), (name, attr)
+        exec(f"from {name} import *", {})
