@@ -281,14 +281,11 @@ def _agd(f_grad, f_only, w0, iters):
 
 
 def w_step(state: SolverState, secants: SecantBatch, data: Dataset,
-           config: SolverConfig, layout=None) -> np.ndarray:
+           config: SolverConfig, layout) -> np.ndarray:
     """Approximately minimize the quadratic penalty over W with u, y, lambda,
     alpha held fixed; never returns a worse W than it was given. ``layout``
-    is a pair layout of ``secants``, built here when not given."""
-    pts = data.points
-    if layout is None:
-        layout = _pair_layout(secants, data.q)
-    args = (pts, secants, layout, state.u, state.y, state.lam, state.alpha)
+    is the solve's one pair layout of ``secants`` (:func:`_pair_layout`)."""
+    args = (data.points, secants, layout, state.u, state.y, state.lam, state.alpha)
 
     def f_grad(w):
         return _w_loss_grad(w, *args, want_grad=True)
@@ -347,13 +344,6 @@ def y_step(y, u, v, c, lam: float, eta: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # outer loop
-
-
-def _quantized_delta(w, points, i_idx, j_idx, c) -> tuple[Optional[float], float]:
-    """(lambda*, delta): the Chebyshev fit of |lambda d_H - c| over the
-    training secants (see :func:`train_nibh`), None as lambda* where the
-    fit has no minimizer."""
-    return fit_lambda_chebyshev(hamming_pairs(hash_matrix(w, points), i_idx, j_idx), c)
 
 
 def train_nibh(
@@ -418,19 +408,12 @@ def train_nibh(
     # lambda update nearly reproduces the previous lambda each iteration;
     # lambda therefore has to START on the right scale. Fit it to the
     # initial embedding at the final rate, where the relaxation matches
-    # the quantized codes the trained model will actually use.
-    v0 = relaxed_dists(w, config.alpha_end)
-    vv0 = float(v0 @ v0)
-    lam0 = max(_LAMBDA_MIN, float(v0 @ c) / vv0) if vv0 > 0 else 1.0
-
-    n_sec = len(secants)
-    state = SolverState(
-        w=w,
-        u=np.zeros(n_sec),
-        y=np.zeros(n_sec),
-        lam=lam0,
-        alpha=config.alpha_start,
-    )
+    # the quantized codes the trained model will actually use, by
+    # lambda_step at u = y = 0 (it warns and keeps 1 if every v is 0).
+    state = SolverState(w=w, u=np.zeros(len(secants)), y=np.zeros(len(secants)),
+                        lam=1.0, alpha=config.alpha_start)
+    state.lam = lambda_step(state.u, relaxed_dists(w, config.alpha_end), c,
+                            state.y, state.lam)
 
     aug_prev = None
     loss_min = math.inf
@@ -448,7 +431,8 @@ def train_nibh(
         state.y = y_step(state.y, state.u, v, c, state.lam, config.eta)
 
         sup_loss = float(np.max(np.abs(state.lam * v - c)))
-        lam_star, delta = _quantized_delta(state.w, pts, i_idx, j_idx, c)
+        lam_star, delta = fit_lambda_chebyshev(
+            hamming_pairs(hash_matrix(state.w, pts), i_idx, j_idx), c)
         state.history.append({"iteration": it, "loss": sup_loss, "delta": delta,
                               "alpha": state.alpha, "lambda": state.lam})
         if progress is not None:

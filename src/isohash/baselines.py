@@ -57,8 +57,8 @@ def lsh_fit(m: int, data: Dataset, seed: int,
     """The LSH model of ``data`` and its distortion report, from one
     all-pairs :func:`metrics.max_distortion` pass: the model inherits the
     data's preprocessing stats, and its scale is the pass's refit lambda*."""
-    model = HashModel(w=random_projection_matrix(m, data.n, seed), lam=1.0,
-                      alpha=10.0, mean=data.mean, normalized=data.normalized)
+    model = replace(lsh_model(m, data.n, seed), mean=data.mean,
+                    normalized=data.normalized)
     rep = max_distortion(model, data, n_threads=n_threads)
     return replace(model, lam=rep.lambda_star), rep
 
@@ -136,13 +136,9 @@ def circle_square_misordered(points: np.ndarray, labels: np.ndarray,
     query (point 0) between the ambient plane and the 1-D projection at the
     given angle."""
     d_amb, d_emb = _query_distances(points, angle)
-    circles = [t for t in np.nonzero(labels == "circle")[0] if t != 0]
-    squares = [t for t in np.nonzero(labels == "square")[0] if t != 0]
-    for a in circles:
-        for b in squares:
-            if (d_amb[a] < d_amb[b]) != (d_emb[a] < d_emb[b]):
-                return True
-    return False
+    others = np.arange(len(labels)) > 0
+    a, b = others & (labels == "circle"), others & (labels == "square")
+    return bool(np.any((d_amb[a][:, None] < d_amb[b]) != (d_emb[a][:, None] < d_emb[b])))
 
 
 def _ray_cluster(rng, radii, direction, radial_sigma, perp_sigma):

@@ -26,11 +26,13 @@ contrast, a ``check lemma1`` ``--alpha`` or ``--sigma`` not positive or
 ``--samples`` below 10^4), a flag the chosen command or metric does not use
 (``--threads`` is for ``train``, ``eval --metric delta`` and ``check knn``),
 and a ``--k`` or ``--queries`` index or a ``--secants bre`` that the dataset
-cannot serve. Data errors: a missing input file, a queries file that does
-not parse as integers, a non-finite data value, a zero row in a dataset
-flagged normalized, fewer than 2 points, a model header that is malformed or
-that ``HashModel`` rejects, data whose width is not the model's, and codes
-that collapse on the data. Neither prints to stdout or writes a manifest.
+cannot serve. Data errors: a file that cannot be read or written (missing,
+a directory, or under a regular file), a queries file that does not parse as
+integers, a non-finite data value, a zero row in a dataset flagged
+normalized, fewer than 2 points, a model header that is malformed or that
+``HashModel`` rejects (a W, lambda, alpha or mean that is not finite among
+them), data whose width is not the model's, and codes that collapse on the
+data. Neither prints to stdout or writes a manifest.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -135,9 +138,10 @@ def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
 
 
 def cmd_train(args, parser, man) -> tuple[dict, int]:
-    cg_flags = [args.init_sample is not None, args.violator_batch is not None,
-                args.max_gens is not None]
-    if args.algo != "nibh-cg" and any(cg_flags):
+    given = {key: val for key, val in zip(
+        ("init_sample_size", "violator_batch", "max_generations"),
+        (args.init_sample, args.violator_batch, args.max_gens)) if val is not None}
+    if args.algo != "nibh-cg" and given:
         parser.error(f"--init-sample/--violator-batch/--max-gens apply only "
                      f"to --algo nibh-cg, not {args.algo}")
     if args.algo != "nibh" and args.secants != "all":
@@ -156,12 +160,7 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
         seed=args.seed,
     )
     if args.algo == "nibh-cg":
-        given = {"init_sample_size": args.init_sample,
-                 "violator_batch": args.violator_batch,
-                 "max_generations": args.max_gens}
-        cg_cfg = colgen.CgConfig(
-            scan_seed=args.seed, inner=solver_cfg,
-            **{key: val for key, val in given.items() if val is not None})
+        cg_cfg = colgen.CgConfig(scan_seed=args.seed, inner=solver_cfg, **given)
 
     man.fingerprint("data", args.data)
     man.doc["seeds"]["seed"] = args.seed
@@ -317,7 +316,7 @@ def cmd_demo_fig1(args, parser, man) -> tuple[dict, int]:
 
     doc = {
         "points": len(pts),
-        "counts": {"circle": 5, "square": 5, "star": 60},
+        "counts": dict(Counter(labels.tolist())),
         "linf": {"angle_rad": linf.best_angle, "distortion": linf.distortion,
                  "nn_order_preserved": True},
         "l2": {"angle_rad": l2.best_angle, "distortion": l2.distortion,
@@ -463,7 +462,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (dataio.DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (dataio.DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -209,7 +209,8 @@ class SecantBatch:
 class HashModel:
     """Trained hashing artifact: embedding matrix W (M x N), the distance
     scale lambda, the final sigmoid rate, and the preprocessing stats needed
-    to hash unseen data consistently."""
+    to hash unseen data consistently. W and the mean are finite, and
+    lambda and alpha finite and positive."""
 
     w: np.ndarray
     lam: float
@@ -221,15 +222,17 @@ class HashModel:
         self.w = np.ascontiguousarray(np.asarray(self.w, dtype=np.float64))
         if self.w.ndim != 2 or self.w.shape[0] < 1:
             raise ValueError(f"W must be an M x N matrix with M >= 1, got {self.w.shape}")
-        if not (self.lam > 0):
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (0 < self.lam < math.inf):
+            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
+        if not (0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         self.mean = np.asarray(self.mean, dtype=np.float64)
         if self.mean.shape != (self.w.shape[1],):
             raise ValueError(
                 f"mean has shape {self.mean.shape}, expected ({self.w.shape[1]},)"
             )
+        if not (np.isfinite(self.w).all() and np.isfinite(self.mean).all()):
+            raise ValueError("W and mean must be finite")
 
     @property
     def m(self) -> int:

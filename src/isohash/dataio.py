@@ -48,18 +48,21 @@ MODEL_VERSION = 1
 # preprocessing
 
 
+def _unit_rows(x: np.ndarray, where: str) -> np.ndarray:
+    """The rows of ``x`` scaled to unit l2 norm; a zero row raises, named
+    after the prefix ``where``."""
+    norms = np.linalg.norm(x, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DataFormatError(f"{where}row {int(zero[0])} is zero and cannot be normalized")
+    return x / norms[:, None]
+
+
 def _normalized(raw: np.ndarray, mean: np.ndarray) -> Dataset:
     """The rows of ``raw`` centered on ``mean``, each scaled to unit l2 norm."""
-    centered = np.asarray(raw, dtype=np.float64) - mean
-    norms = np.linalg.norm(centered, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise DataFormatError(
-            f"row {int(zero[0])} is zero after centering and cannot be normalized"
-        )
-    points = centered / norms[:, None]
-    del centered  # before Dataset checks the norms through a Q x N temporary
-    return Dataset(points, mean=mean, normalized=True)
+    # the centered rows are freed before Dataset's Q x N check of the norms
+    return Dataset(_unit_rows(np.asarray(raw, dtype=np.float64) - mean, ""),
+                   mean=mean, normalized=True)
 
 
 def preprocess(raw: np.ndarray) -> Dataset:
@@ -208,15 +211,8 @@ def load_binary(path) -> Dataset:
         raise DataFormatError(f"{path}: non-finite value at byte offset {off}")
     normalized = bool(flags & _FLAG_NORMALIZED)
     pts = pts.astype(np.float64)
-    if normalized:
-        # float32 storage perturbs norms; restore exact unit rows
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DataFormatError(
-                f"{path}: row {int(zero[0])} is zero in a dataset flagged normalized"
-            )
-        pts = pts / norms
+    if normalized:  # float32 storage perturbs norms; restore exact unit rows
+        pts = _unit_rows(pts, f"{path}: ")
     return Dataset(pts, normalized=normalized)
 
 

@@ -306,7 +306,8 @@ class TestWStep:
             return inner(w, *args, **kwargs)
 
         monkeypatch.setattr(admm, "_w_loss_grad", recorded)
-        w_step(state, sec, Dataset(pts), SolverConfig(inner_gd_iters=5))
+        w_step(state, sec, Dataset(pts), SolverConfig(inner_gd_iters=5),
+               _pair_layout(sec, len(pts)))
         assert len(seen) > 1
         assert sum(np.array_equal(w, state.w) for w in seen) == 1
 
@@ -320,7 +321,8 @@ class TestWStep:
                            1.0, 2.0)
         want = f"non-finite residual at secant ({sec.i[4]}, {sec.j[4]})"
         with pytest.raises(DivergenceError, match=re.escape(want)):
-            w_step(state, sec, Dataset(pts), SolverConfig())
+            w_step(state, sec, Dataset(pts), SolverConfig(),
+                   _pair_layout(sec, len(pts)))
 
     def test_lambda_zero_leaves_w_unchanged(self):
         rng = np.random.default_rng(31)
@@ -328,7 +330,8 @@ class TestWStep:
         sec = all_secants(pts)
         w = rng.standard_normal((2, 3))
         state = make_state(w, np.zeros(len(sec)), np.zeros(len(sec)), 0.0, 2.0)
-        out = w_step(state, sec, Dataset(pts), SolverConfig())
+        out = w_step(state, sec, Dataset(pts), SolverConfig(),
+                     _pair_layout(sec, len(pts)))
         np.testing.assert_array_equal(out, w)
 
     def test_never_increases_objective(self):
@@ -347,7 +350,8 @@ class TestWStep:
                                rng2.standard_normal(len(sec)),
                                rng2.standard_normal(len(sec)), 0.9, 3.0)
             before = loss(state)
-            state_after = make_state(w_step(state, sec, Dataset(pts), cfg),
+            state_after = make_state(w_step(state, sec, Dataset(pts), cfg,
+                                            _pair_layout(sec, len(pts))),
                                      state.u, state.y, state.lam, state.alpha)
             after = loss(state_after)
             assert after <= before + 1e-12
@@ -377,7 +381,7 @@ class TestWStep:
 
         state = make_state(np.array([[0.1]]), u, y, lam, alpha)
         cfg = SolverConfig(inner_gd_iters=400)
-        w_out = w_step(state, sec, Dataset(pts), cfg)
+        w_out = w_step(state, sec, Dataset(pts), cfg, _pair_layout(sec, len(pts)))
         assert f(float(w_out[0, 0])) <= fbest + 1e-6
 
 

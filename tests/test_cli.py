@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -621,13 +622,13 @@ class TestManifest:
 def _unusable_inputs(d):
     """{case: (argv, the text stderr must name)} for runs whose input files
     cannot be used, written under d."""
-    def model(name, n=16, **header):
-        # two all-ones rows; a header value of None leaves its key out
+    def model(name, n=16, w=1.0, **header):
+        # two rows of w; a header value of None leaves its key out
         head = {"version": 1, "M": 2, "N": n, "lambda": 1.0, "alpha": 1.0,
                 "normalized": False, "mean": [0.0] * n, **header}
         head = {key: val for key, val in head.items() if val is not None}
         (d / name).write_bytes(json.dumps(head).encode() + b"\n"
-                               + np.ones((2, n), "<f8").tobytes())
+                               + np.full((2, n), w, "<f8").tobytes())
         return str(d / name)
 
     def points(name, data):
@@ -679,6 +680,21 @@ def _unusable_inputs(d):
             [*delta(model("k.model"), raw16)[:-1], "map", *queries], str(latin)),
         "knn queries not UTF-8": ([*knn(model("l.model"), raw16), *queries],
                                   str(latin)),
+        # json writes and reads a non-finite float as Infinity or NaN
+        "header with lambda inf": (
+            delta(model("m.model", **{"lambda": math.inf}), raw16), "m.model"),
+        "header with alpha inf": (
+            delta(model("n.model", alpha=math.inf), raw16), "n.model"),
+        "W with a NaN": (delta(model("o.model", w=math.nan), raw16), "o.model"),
+        "W with an inf": (delta(model("p.model", w=-math.inf), raw16), "p.model"),
+        "mean with a NaN": (delta(model("r.model", mean=[math.nan] * 16), raw16),
+                            "r.model"),
+        "mean with a NaN, map": (
+            [*delta(model("s.model", mean=[math.nan] * 16), raw16)[:-1], "map"],
+            "s.model"),
+        "mean with a NaN, normalized": (
+            delta(model("t.model", mean=[math.nan] * 16, normalized=True), raw16),
+            "t.model"),
     }
 
 
@@ -689,6 +705,9 @@ def _unusable_inputs(d):
     "knn on data narrower than the model", "eval on collapsed codes",
     "knn on collapsed codes", "header that is a JSON list",
     "header that is a JSON string", "map queries not UTF-8", "knn queries not UTF-8",
+    "header with lambda inf", "header with alpha inf", "W with a NaN",
+    "W with an inf", "mean with a NaN", "mean with a NaN, map",
+    "mean with a NaN, normalized",
 ])
 def test_unusable_inputs_exit_3(case, tmp_path):
     argv, named = _unusable_inputs(tmp_path)[case]
@@ -697,6 +716,22 @@ def test_unusable_inputs_exit_3(case, tmp_path):
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
     assert res.stderr.startswith("data error: ") and named in res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize("flag", ["--data", "--out", "--progress", "--manifest"])
+def test_path_under_a_regular_file_exits_3(flag, dataset_file, tmp_path):
+    # open() raises NotADirectoryError for a path through a regular file
+    flat = tmp_path / "f.csv"
+    flat.write_text("1.0,2.0\n")
+    paths = {"--data": str(dataset_file), "--out": str(tmp_path / "m.model"),
+             "--progress": str(tmp_path / "p.jsonl"),
+             "--manifest": str(tmp_path / "man.json"),
+             flag: str(flat / "x")}
+    res = run_cli("train", "--algo", "lsh", "--bits", "4",
+                  *[arg for item in paths.items() for arg in item], cwd=tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("data error: ") and "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 class TestOutputFrame:

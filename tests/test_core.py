@@ -9,6 +9,7 @@ from isohash import core
 from isohash.admm import _IncidencePairs
 from isohash.core import (
     Dataset,
+    HashModel,
     SecantBatch,
     SecantRef,
     decode_pair_indices,
@@ -609,6 +610,18 @@ class TestTypes:
         pts = np.array([[1.0, 0.0], [np.nan, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="row 1 has norm nan"):
             Dataset(pts, normalized=True)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.inf), ("alpha", math.inf),
+        ("w", [[1.0, math.nan]]), ("w", [[-math.inf, 1.0]]),
+        ("mean", [math.nan, 0.0]), ("mean", [0.0, math.inf]),
+    ], ids=["lam-inf", "alpha-inf", "w-nan", "w-inf", "mean-nan", "mean-inf"])
+    def test_hash_model_rejects_non_finite_fields(self, field, value):
+        fields = {"w": np.ones((1, 2)), "lam": 1.0, "alpha": 10.0,
+                  "mean": np.zeros(2), "normalized": False}
+        HashModel(**fields)
+        with pytest.raises(ValueError, match="finite"):
+            HashModel(**{**fields, field: value})
 
     def test_projection_matrix_seeded(self):
         a = random_projection_matrix(4, 7, 5)

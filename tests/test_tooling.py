@@ -61,7 +61,8 @@ def test_loss_eval_counter_counts_every_evaluation(monkeypatch):
         restore = tracing.instrument(rec)
         try:
             admm.w_step(state, sec, Dataset(pts),
-                        admm.SolverConfig(inner_gd_iters=6))
+                        admm.SolverConfig(inner_gd_iters=6),
+                        admm._pair_layout(sec, len(pts)))
         finally:
             restore()
         assert True in evals and False in evals
