@@ -19,20 +19,23 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
 5 check failure. A flag value that the parser or the library rejects exits
 2; a file, or a model and data pair, that the library cannot use exits 3.
 Usage errors: a malformed flag value (``--bits`` or ``--threads`` below 1,
-a ``--secants`` other than all, bre or sample:K with K >= 1, a solver or
+a ``--secants`` other than all or sample:K with K >= 1, a solver or
 column-generation setting that ``SolverConfig`` or ``CgConfig`` rejects, a
 ``demo-fig1`` ``--grid-steps`` below 2 or ``--seed`` without the demo's
 contrast, a ``check lemma1`` ``--alpha`` or ``--sigma`` not positive or
 ``--samples`` below 10^4), a flag the chosen command or metric does not use
 (``--threads`` is for ``train``, ``eval --metric delta`` and ``check knn``),
-and a ``--k`` or ``--queries`` index or a ``--secants bre`` that the dataset
-cannot serve. Data errors: a file that cannot be read or written (missing,
-a directory, or under a regular file), a queries file that does not parse as
-integers, a non-finite data value, a zero row in a dataset flagged
-normalized, fewer than 2 points, a model header that is malformed or that
-``HashModel`` rejects (a W, lambda, alpha or mean that is not finite among
-them), data whose width is not the model's, and codes that collapse on the
-data. Neither prints to stdout or writes a manifest.
+and a ``--k`` or ``--queries`` index that the dataset cannot serve. Data
+errors: a file that cannot be read or written (missing, a directory, or
+under a regular file), a queries file that does not parse as integers, a
+non-finite data value, a zero row in a dataset flagged normalized, fewer
+than 2 points, a model header that is malformed or that ``HashModel``
+rejects (a W, lambda, alpha or mean that is not finite among them), data
+whose width is not the model's, and codes that collapse on the data. An
+output path (``--out``, ``--progress``, the manifest) whose parent is not a
+directory fails before any input is read. Neither kind prints to stdout or
+writes a manifest; a manifest that cannot be written removes the manifest's
+artifacts (the model or demo files) before the exit.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -59,7 +63,7 @@ EXIT_DIVERGED = 4
 EXIT_CHECK_FAILED = 5
 
 
-SECANT_SPEC = re.compile(r"all|bre|sample:0*[1-9][0-9]*")
+SECANT_SPEC = re.compile(r"all|sample:0*[1-9][0-9]*")
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +132,6 @@ def _select_secants(data: Dataset, spec: str, seed: int) -> SecantBatch:
     """Training secants for a spec that matches SECANT_SPEC."""
     if spec == "all":
         return SecantBatch.all_pairs(data.points)
-    if spec == "bre":
-        return dataio.bre_secant_selection(data)
     return SecantBatch.sample(data.points, int(spec.split(":", 1)[1]), seed)
 
 
@@ -147,14 +149,14 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
     if args.algo != "nibh" and args.secants != "all":
         parser.error(f"--secants applies only to --algo nibh, not {args.algo}")
     if not SECANT_SPEC.fullmatch(args.secants):
-        parser.error(f"--secants must be all, bre or sample:K with K >= 1, "
+        parser.error(f"--secants must be all or sample:K with K >= 1, "
                      f"not {args.secants!r}")
     if args.bits < 1:
         parser.error(f"--bits must be >= 1, got {args.bits}")
 
     # the configs range-check their settings before any file is read
     solver_cfg = SolverConfig(
-        rho=args.rho, eta=args.eta, alpha_start=args.alpha_start,
+        rho=args.rho, alpha_start=args.alpha_start,
         alpha_end=args.alpha_end, alpha_growth=args.alpha_growth,
         max_outer_iters=args.max_iters, convergence_tol=args.tol,
         seed=args.seed,
@@ -383,13 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--bits", type=int, required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--rho", type=float, default=SolverConfig.rho)
-    t.add_argument("--eta", type=float, default=SolverConfig.eta)
     t.add_argument("--alpha-start", type=float, default=SolverConfig.alpha_start)
     t.add_argument("--alpha-end", type=float, default=SolverConfig.alpha_end)
     t.add_argument("--alpha-growth", type=float, default=SolverConfig.alpha_growth)
     t.add_argument("--seed", type=int, default=SolverConfig.seed)
     t.add_argument("--secants", default="all",
-                   help="nibh secant selection: all | bre | sample:K")
+                   help="nibh secant selection: all | sample:K")
     t.add_argument("--init-sample", type=int, default=None)
     t.add_argument("--violator-batch", type=int, default=None)
     t.add_argument("--max-gens", type=int, default=None)
@@ -453,12 +454,23 @@ def main(argv=None) -> int:
         "check-lemma1": cmd_check_lemma1,
         "check-knn": cmd_check_knn,
     }[command]
+    out = getattr(args, "out", None)
+    manifest = args.manifest or (out if command == "train" else command) \
+        + ".manifest.json"
     man = Manifest(command, argv)
     # the one place where an exception becomes an exit code
     try:
+        progress = getattr(args, "progress", None)
+        for path in (out, None if progress == "-" else progress, manifest):
+            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+                raise NotADirectoryError(f"{path}: its parent is not a directory")
         doc, code = handler(args, parser, man)
-        man.write(args.manifest or (args.out if command == "train" else command)
-                  + ".manifest.json")
+        try:
+            man.write(manifest)
+        except OSError:
+            for path in man.doc["artifacts"]:
+                os.remove(path)
+            raise
     except DivergenceError as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

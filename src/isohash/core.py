@@ -140,11 +140,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SecantRef:
-    """One pair (i, j), i > j, with its target ambient distance c.
-
-    c is the l2 distance between points i and j unless deliberately
-    overridden (e.g. the BRE-style zero targets for the closest pairs).
-    """
+    """One pair (i, j), i > j, with its target ambient distance c, the l2
+    distance between points i and j."""
 
     i: int
     j: int

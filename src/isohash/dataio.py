@@ -1,5 +1,5 @@
-"""Dataset ingestion, preprocessing, secant-target selection, synthetic
-generators, and binary serialization of datasets and models.
+"""Dataset ingestion, preprocessing, synthetic generators, and binary
+serialization of datasets and models.
 
 File formats (all little-endian unless stated):
 
@@ -21,13 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DataFormatError, Dataset, HashModel, SecantBatch, secant_count
+from .core import DataFormatError, Dataset, HashModel
 
 __all__ = [
     "DataFormatError",
     "preprocess",
     "preprocess_for_model",
-    "bre_secant_selection",
     "gen_random_dataset",
     "gen_translating_squares",
     "load_csv",
@@ -80,38 +79,6 @@ def preprocess_for_model(raw: np.ndarray, model: HashModel) -> Dataset:
         raw = np.asarray(raw, dtype=np.float64)
         return Dataset(raw - model.mean, mean=model.mean, normalized=False)
     return _normalized(raw, model.mean)
-
-
-# ---------------------------------------------------------------------------
-# BRE-style secant selection
-
-
-_BRE_LOW_FRAC = 0.05
-_BRE_HIGH_FRAC = 0.02
-
-
-def bre_secant_selection(data: Dataset) -> SecantBatch:
-    """The nearest 5% of all pairs (_BRE_LOW_FRAC) with their targets
-    overridden to zero, plus the farthest 2% (_BRE_HIGH_FRAC) with true
-    targets.
-
-    Counts are floors of frac * |S|; distance ties break by pair index.
-    Materializes all pair distances, so intended for small Q.
-    """
-    total = secant_count(data.q)
-    n_low = int(_BRE_LOW_FRAC * total + 1e-9)
-    n_high = int(_BRE_HIGH_FRAC * total + 1e-9)
-    if n_low == 0 or n_high == 0:
-        raise ValueError(f"Q={data.q} gives {total} pairs; fractions ("
-                         f"{_BRE_LOW_FRAC}, {_BRE_HIGH_FRAC}) select zero secants")
-    pairs = SecantBatch.all_pairs(data.points)
-    order = np.argsort(pairs.c, kind="stable")  # ties keep stream order
-    low = np.sort(order[:n_low])
-    high = np.sort(order[total - n_high:])
-    i = np.concatenate([pairs.i[low], pairs.i[high]])
-    j = np.concatenate([pairs.j[low], pairs.j[high]])
-    c = np.concatenate([np.zeros(n_low), pairs.c[high]])
-    return SecantBatch(i, j, c)
 
 
 # ---------------------------------------------------------------------------

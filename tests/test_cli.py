@@ -137,7 +137,7 @@ class TestTrain:
 
     def test_solver_flag_defaults_come_from_solver_config(
             self, dataset_file, tmp_path, monkeypatch, capsys):
-        patched = {"rho": 2.0, "eta": 1.5, "alpha_start": 2.0, "alpha_end": 4.0,
+        patched = {"rho": 2.0, "alpha_start": 2.0, "alpha_end": 4.0,
                    "alpha_growth": 2.0, "convergence_tol": 1e-3,
                    "max_outer_iters": 2, "seed": 7}
         for name, value in patched.items():
@@ -148,16 +148,6 @@ class TestTrain:
         assert json.loads(capsys.readouterr().out)["seed"] == 7
         man = json.loads((tmp_path / "m.model.manifest.json").read_text())
         assert {key: man["config"]["solver"][key] for key in patched} == patched
-
-    def test_bre_on_too_few_pairs_usage_error(self, tmp_path):
-        csv = tmp_path / "pts.csv"
-        csv.write_text("".join(f"{i}.0,{i * i}.0\n" for i in range(5)))
-        res = run_cli("train", "--data", str(csv), "--algo", "nibh", "--bits", "4",
-                      "--secants", "bre", "--out", str(tmp_path / "m.model"),
-                      cwd=tmp_path)
-        assert res.returncode == 2
-        assert "select zero secants" in res.stderr
-        assert "Traceback" not in res.stderr
 
     def test_normalized_zero_row_exits_3(self, tmp_path):
         pts = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 0.0]], dtype="<f4")
@@ -228,7 +218,7 @@ class TestTrain:
         assert res.returncode == 2
         res = run_cli(
             "train", "--data", str(dataset_file), "--algo", "lsh",
-            "--bits", "4", "--secants", "bre",
+            "--bits", "4", "--secants", "sample:10",
             "--out", str(tmp_path / "m.model"), cwd=tmp_path,
         )
         assert res.returncode == 2
@@ -236,7 +226,8 @@ class TestTrain:
     def test_bad_flag_values_usage_error(self, dataset_file, tmp_path):
         cg = ["--algo", "nibh-cg"]
         for flags in (["--secants", "foo"], ["--secants", "sample:abc"],
-                      ["--secants", "sample:0"], ["--bits", "0"],
+                      ["--secants", "sample:0"], ["--secants", "bre"],
+                      ["--eta", "1.0"], ["--bits", "0"],
                       ["--max-iters", "0"], ["--alpha-growth", "1.0"],
                       ["--rho", "0"], ["--tol", "-1"],
                       [*cg, "--init-sample", "0"], [*cg, "--init-sample", "-5"],
@@ -766,6 +757,14 @@ class TestOutputFrame:
         (["train", "--data", "nope.ds", "--bits", "4", "--out", "n.model"], 3),
         (["eval", "--model", "m.model", "--data", "nope.ds", "--metric", "delta"], 3),
         (["check", "knn", "--model", "nope.model", "--data", "{data}"], 3),
+        # an output path is checked before any progress record is written
+        (["train", "--data", "{data}", "--bits", "4", "--out", "m.model/x",
+          "--progress", "p.jsonl", "--max-iters", "3"], 3),
+        (["train", "--algo", "lsh", "--data", "{data}", "--bits", "4",
+          "--out", "n.model", "--manifest", "m.model/man"], 3),
+        # a manifest that fails late takes the model file with it
+        (["train", "--algo", "lsh", "--data", "{data}", "--bits", "4",
+          "--out", "n.model", "--manifest", "."], 3),
     ])
     def test_errors_print_nothing_and_write_no_manifest(
             self, argv, code, dataset_file, tmp_path, monkeypatch, capsys):

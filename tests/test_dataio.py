@@ -3,10 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from isohash.core import HashModel, secant_count
+from isohash.core import HashModel
 from isohash.dataio import (
     DataFormatError,
-    bre_secant_selection,
     gen_random_dataset,
     gen_translating_squares,
     load_any,
@@ -57,50 +56,6 @@ class TestPreprocess:
                           mean=ds.mean, normalized=True)
         again = preprocess_for_model(raw, model)
         np.testing.assert_array_equal(again.points, ds.points)
-
-
-class TestBreSelection:
-    def test_counts_at_q100(self):
-        ds = gen_random_dataset(100, 20, seed=1)
-        batch = bre_secant_selection(ds)
-        assert secant_count(100) == 4950
-        # floor(0.05 * 4950) = 247, floor(0.02 * 4950) = 99
-        assert len(batch) == 247 + 99
-        assert int((batch.c == 0.0).sum()) == 247
-
-    def test_low_pairs_carry_zero_targets(self):
-        ds = gen_random_dataset(30, 5, seed=2)
-        batch = bre_secant_selection(ds)
-        zeros = batch.c == 0.0
-        total = secant_count(30)
-        assert int(zeros.sum()) == int(0.05 * total + 1e-9)
-
-    def test_high_pairs_match_brute_force(self):
-        ds = gen_random_dataset(30, 5, seed=7)
-        batch = bre_secant_selection(ds)
-        n_high = int(0.02 * secant_count(30) + 1e-9)
-        # exhaustive top-2% by distance
-        dists = []
-        for i in range(1, 30):
-            for j in range(i):
-                dists.append((float(np.linalg.norm(ds.points[i] - ds.points[j])), i, j))
-        dists.sort()
-        want = {(i, j) for _, i, j in dists[-n_high:]}
-        got = {
-            (int(i), int(j))
-            for i, j, c in zip(batch.i, batch.j, batch.c)
-            if c > 0.0
-        }
-        assert got == want
-        # and their targets are the true distances
-        for i, j, c in zip(batch.i, batch.j, batch.c):
-            if c > 0:
-                assert c == pytest.approx(np.linalg.norm(ds.points[i] - ds.points[j]))
-
-    def test_too_small_q_errors(self):
-        ds = gen_random_dataset(5, 3, seed=0)
-        with pytest.raises(ValueError, match="zero secants"):
-            bre_secant_selection(ds)  # 10 pairs * 0.02 floors to 0
 
 
 class TestGenerators:
