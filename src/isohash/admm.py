@@ -66,10 +66,6 @@ __all__ = [
     "train_nibh",
 ]
 
-# divergence guard: stop after this many consecutive iterations with the
-# sup loss above 10x its running minimum
-_DIVERGENCE_FACTOR = 10.0
-_DIVERGENCE_PATIENCE = 20
 # floor of the fitted scale lambda, which must stay positive
 _LAMBDA_MIN = 1e-8
 # y-update dual step, in the classic (0, (1 + sqrt 5)/2) range; median delta at rho=1,
@@ -131,7 +127,6 @@ class SolverState:
     history: list = field(default_factory=list)  # the progress records, in order
     best_iteration: int = 0  # the iterate train_nibh returned as its model
     converged: bool = False
-    diverged: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +361,11 @@ def train_nibh(
     ``state.history``, and passes it to ``progress`` if given.
 
     The solve stops when the stop test passes (``converged``; it runs
-    once alpha has reached alpha_end), when the divergence guard trips
-    (``diverged``: the sup_loss stayed above _DIVERGENCE_FACTOR times its
-    running minimum for _DIVERGENCE_PATIENCE iterations in a row), or after
-    max_outer_iters iterations.
+    once alpha has reached alpha_end) or after max_outer_iters iterations.
+    A non-finite W-step residual or gradient raises DivergenceError, naming
+    a secant, and returns no model.
 
-    Returns the trained model and the solver state. Every solve, diverged
+    Returns the trained model and the solver state. Every solve, converged
     or not, returns the iterate with the lowest delta in history (the
     later one on a tie), with that iterate's W and alpha, and as lambda its
     lambda*, the Chebyshev fit of its codes over the training secants (the
@@ -418,8 +412,6 @@ def train_nibh(
                             state.y, state.lam)
 
     aug_prev = None
-    loss_min = math.inf
-    above_min_streak = 0
     kept = (math.inf, state.w, state.lam, state.alpha, 0)  # lowest delta: returned
 
     for it in range(1, config.max_outer_iters + 1):
@@ -442,12 +434,6 @@ def train_nibh(
 
         if delta <= kept[0]:  # ties go to the later iterate
             kept = (delta, state.w, lam_star or state.lam, state.alpha, it)
-        loss_min = min(loss_min, sup_loss)
-        above_min_streak = above_min_streak + 1 \
-            if sup_loss > _DIVERGENCE_FACTOR * loss_min else 0
-        if above_min_streak >= _DIVERGENCE_PATIENCE:
-            state.diverged = True
-            break
 
         # the stop test compares two iterations at the final rate only, so
         # "converged" never describes a solve that continuation left unfinished

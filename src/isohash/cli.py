@@ -15,8 +15,9 @@ against that same delta, whatever scale the model file stores: a positive
 scale changes no Hamming ranking. Only this module writes JSON: the stdout
 document, the ``--progress`` lines and the manifest.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence,
-5 check failure. A flag value that the parser or the library rejects exits
+Exit codes: 0 success, 2 usage, 3 data error, 4 solver divergence (a
+non-finite ADMM residual or gradient, named by its secant), 5 check
+failure. A flag value that the parser or the library rejects exits
 2; a file, or a model and data pair, that the library cannot use exits 3.
 Usage errors: a malformed flag value (``--bits`` or ``--threads`` below 1,
 a ``--secants`` other than all or sample:K with K >= 1, a solver or
@@ -32,10 +33,12 @@ non-finite data value, a zero row in a dataset flagged normalized, fewer
 than 2 points, a model header that is malformed or that ``HashModel``
 rejects (a W, lambda, alpha or mean that is not finite among them), data
 whose width is not the model's, and codes that collapse on the data. An
-output path (``--out``, ``--progress``, the manifest) whose parent is not a
-directory fails before any input is read. Neither kind prints to stdout or
-writes a manifest; a manifest that cannot be written removes the manifest's
-artifacts (the model or demo files) before the exit.
+output file (``train``'s ``--out``, a ``--progress`` file, the manifest)
+that is a directory or whose parent is not one, or a ``demo-fig1``
+``--out`` prefix whose parent is not one, fails before any input is read.
+A run that exits 2, 3 or 4 prints nothing to stdout, writes no manifest,
+and removes every file it wrote (the model, the progress file, the demo
+CSVs) before it prints its one line to stderr.
 """
 
 from __future__ import annotations
@@ -102,17 +105,16 @@ class Manifest:
             fh.write("\n")
 
 
-def _open_progress(spec: str | None):
+def _open_progress(spec: str | None, man: Manifest):
     """A callable writing each record as a JSON line to ``spec`` (- is
-    stderr), and its closer."""
+    stderr), and its closer; a file it opens joins the run's artifacts."""
     if spec is None:
         return None, lambda: None
-    fh = sys.stderr if spec == "-" else open(spec, "w", encoding="utf-8")
-
-    def write(record: dict):
-        fh.write(json.dumps(record) + "\n")
-
-    return write, (lambda: None) if fh is sys.stderr else fh.close
+    if spec == "-":
+        return lambda record: print(json.dumps(record), file=sys.stderr), lambda: None
+    fh = open(spec, "w", encoding="utf-8")
+    man.doc["artifacts"].append(spec)
+    return lambda record: fh.write(json.dumps(record) + "\n"), fh.close
 
 
 def _load_data(path: str, model=None) -> Dataset:
@@ -176,9 +178,8 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
         "out": args.out,
     }
 
-    progress, close_progress = _open_progress(args.progress)
+    progress, close_progress = _open_progress(args.progress, man)
     try:
-        diverged = False
         if args.algo == "lsh":
             with man.phase("train"):
                 # one all-pairs pass fits lambda* and measures delta
@@ -191,14 +192,12 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
             with man.phase("train"):
                 model, state = train_nibh(data, secants, args.bits, solver_cfg,
                                           progress=progress)
-            diverged = state.diverged
             rep = metrics.max_distortion(model, data, n_threads=args.threads)
             report.update({
                 "delta": rep.delta,
                 "lambda": model.lam,
                 "iterations": state.iteration,
                 "converged": state.converged,
-                "diverged": state.diverged,
                 "secants": args.secants,
                 "secant_count": len(secants),
                 "distance_convention": "unsquared-l2",
@@ -223,14 +222,14 @@ def cmd_train(args, parser, man) -> tuple[dict, int]:
     finally:
         close_progress()
 
+    man.doc["artifacts"].append(args.out)
     with man.phase("write"):
         dataio.save_model(model, args.out)
-    man.doc["artifacts"].append(args.out)
     man.doc["config"]["solver"] = vars(solver_cfg).copy()
     if args.algo == "nibh-cg":
         man.doc["config"]["cg"] = {key: val for key, val in vars(cg_cfg).items()
                                    if key != "inner"}
-    return report, EXIT_DIVERGED if diverged else EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +302,7 @@ def cmd_demo_fig1(args, parser, man) -> tuple[dict, int]:
     if args.out:
         prof_path = args.out + ".profile.csv"
         proj_path = args.out + ".projections.csv"
+        man.doc["artifacts"] += [prof_path, proj_path]
         with open(prof_path, "w", encoding="utf-8") as fh:
             fh.write("angle_rad,linf_distortion,l2_distortion\n")
             for (ang, dv), (_, dv2) in zip(linf.profile, l2.profile):
@@ -314,7 +314,6 @@ def cmd_demo_fig1(args, parser, man) -> tuple[dict, int]:
             for p, lab in zip(pts, labels):
                 x, y, a, b = (float(t) for t in (p[0], p[1], p @ d_linf, p @ d_l2))
                 fh.write(f"{x!r},{y!r},{lab},{a!r},{b!r}\n")
-        man.doc["artifacts"] += [prof_path, proj_path]
 
     doc = {
         "points": len(pts),
@@ -454,34 +453,39 @@ def main(argv=None) -> int:
         "check-lemma1": cmd_check_lemma1,
         "check-knn": cmd_check_knn,
     }[command]
-    out = getattr(args, "out", None)
+    out, progress = getattr(args, "out", None), getattr(args, "progress", None)
     manifest = args.manifest or (out if command == "train" else command) \
         + ".manifest.json"
     man = Manifest(command, argv)
     # the one place where an exception becomes an exit code
     try:
-        progress = getattr(args, "progress", None)
-        for path in (out, None if progress == "-" else progress, manifest):
-            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        # every output file, and the parent of demo-fig1's --out prefix, is
+        # checked before any input is read
+        for path, is_file in ((out, command == "train"), (progress, progress != "-"),
+                              (manifest, True)):
+            if path is None:
+                continue
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise NotADirectoryError(f"{path}: its parent is not a directory")
+            if is_file and os.path.isdir(path):
+                raise IsADirectoryError(f"{path}: is a directory")
         doc, code = handler(args, parser, man)
-        try:
-            man.write(manifest)
-        except OSError:
-            for path in man.doc["artifacts"]:
-                os.remove(path)
-            raise
+        man.write(manifest)
     except DivergenceError as exc:
-        print(f"solver divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        failure, kind, code = exc, "solver divergence", EXIT_DIVERGED
     except (dataio.DataFormatError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        failure, kind, code = exc, "data error", EXIT_DATA
     except ValueError as exc:
         # the library rejected a flag value, or a flag the dataset cannot serve
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(json.dumps(doc, indent=2))
+        failure, kind, code = exc, "usage error", EXIT_USAGE
+    else:
+        print(json.dumps(doc, indent=2))
+        return code
+    # a failed run leaves no file behind
+    for path in man.doc["artifacts"]:
+        if os.path.isfile(path):
+            os.remove(path)
+    print(f"{kind}: {failure}", file=sys.stderr)
     return code
 
 

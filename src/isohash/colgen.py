@@ -117,11 +117,12 @@ def scan_violators(codes: BinaryCodes, data: Dataset, lam: float,
 
 
 def _union(active: SecantBatch, violators: SecantBatch) -> SecantBatch:
-    """Merge, dropping violators already present; a pair enters at most once."""
-    fresh = violators.subset(~np.isin(violators.keys(), active.keys()))
-    return SecantBatch(np.concatenate([active.i, fresh.i]),
-                       np.concatenate([active.j, fresh.j]),
-                       np.concatenate([active.c, fresh.c]))
+    """The active secants, then the violators. No violator is resident: its
+    residual exceeds delta_hat, the largest resident residual, so a pair
+    enters at most once."""
+    return SecantBatch(np.concatenate([active.i, violators.i]),
+                       np.concatenate([active.j, violators.j]),
+                       np.concatenate([active.c, violators.c]))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,8 @@ class Dataset:
                     f"mean has shape {self.mean.shape}, expected ({n},)"
                 )
         if self.normalized:
-            norms = np.linalg.norm(self.points, axis=1)
+            # row norms with no Q x N temporary
+            norms = np.sqrt(np.einsum("ij,ij->i", self.points, self.points))
             off = ~(np.abs(norms - 1.0) <= 1e-9)  # a NaN norm is off too
             if np.any(off):
                 bad = int(np.argmax(off))

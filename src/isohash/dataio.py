@@ -59,7 +59,6 @@ def _unit_rows(x: np.ndarray, where: str) -> np.ndarray:
 
 def _normalized(raw: np.ndarray, mean: np.ndarray) -> Dataset:
     """The rows of ``raw`` centered on ``mean``, each scaled to unit l2 norm."""
-    # the centered rows are freed before Dataset's Q x N check of the norms
     return Dataset(_unit_rows(np.asarray(raw, dtype=np.float64) - mean, ""),
                    mean=mean, normalized=True)
 

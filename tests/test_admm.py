@@ -505,24 +505,6 @@ class TestTrainNibh:
         # is attained
         assert self.training_fit(model) == (model.lam, min(deltas))
 
-    def test_divergence_returns_lowest_delta_iterate(self, monkeypatch):
-        # a guard this tight trips after three iterations above the minimum
-        monkeypatch.setattr(admm, "_DIVERGENCE_FACTOR", 1.0)
-        monkeypatch.setattr(admm, "_DIVERGENCE_PATIENCE", 3)
-        model, state = train_nibh(self.data, self.secants, 5,
-                                  SolverConfig(max_outer_iters=30, seed=0))
-        assert state.diverged and not state.converged
-        assert len(state.history) == state.iteration
-        assert state.best_iteration < state.iteration
-        # the first ``best_iteration`` iterations of the same solve end there
-        cut, cut_state = train_nibh(
-            self.data, self.secants, 5,
-            SolverConfig(max_outer_iters=state.best_iteration, seed=0))
-        assert not cut_state.diverged
-        assert model.w.tobytes() == cut_state.w.tobytes()
-        assert (model.lam, model.alpha) == (cut.lam, cut_state.alpha)
-        assert model.lam == self.training_fit(model)[0]
-
     def test_duplicated_point_zero_secant(self):
         pts = np.vstack([self.data.points[:10], self.data.points[0]])
         data = Dataset(pts, mean=self.data.mean, normalized=False)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import isohash
-from isohash import admm, baselines, cli, metrics
+from isohash import admm, baselines, cli, dataio, metrics
 from isohash.baselines import lsh_fit
 from isohash.core import Dataset, map_tiles
 from isohash.dataio import (gen_random_dataset, load_any, load_model, preprocess,
@@ -22,7 +23,8 @@ PACKAGE_ROOT = str(Path(isohash.__file__).resolve().parent.parent)
 
 
 def run_python(*args, cwd):
-    """Run ``python *args`` in a child process.
+    """Run ``python -W error *args`` in a child process, so that a warning
+    fails it as it fails the tests.
 
     ``cwd`` is a temporary directory because the CLI writes its manifests
     and CSVs into its working directory. A relative ``PYTHONPATH=src``
@@ -33,7 +35,7 @@ def run_python(*args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args],
+    return subprocess.run([sys.executable, "-W", "error", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
@@ -99,22 +101,46 @@ class TestTrain:
         assert "train" in man["timings_sec"]
         assert man["dataset_fingerprints"]["data"]
 
-    def test_divergence_exits_4_and_writes_model(self, dataset_file, tmp_path,
-                                                 monkeypatch, capsys):
-        # the guard trips at the second iteration, whose sup loss is always
-        # above half the running minimum
-        monkeypatch.setattr(admm, "_DIVERGENCE_FACTOR", 0.5)
-        monkeypatch.setattr(admm, "_DIVERGENCE_PATIENCE", 2)
-        out = tmp_path / "m.model"
+    def test_divergence_exits_4_and_leaves_no_file(self, dataset_file, tmp_path,
+                                                   monkeypatch, capsys):
+        # lambda turns infinite in the second iteration, after the first
+        # progress record, and the third W-step's residual is not finite
+        calls = []
+        lambda_step = admm.lambda_step
+
+        def blows_up(*args):
+            calls.append(None)
+            return math.inf if len(calls) >= 3 else lambda_step(*args)
+
+        monkeypatch.setattr(admm, "lambda_step", blows_up)
+        monkeypatch.chdir(tmp_path)
         code = cli.main([
             "train", "--data", str(dataset_file), "--algo", "nibh",
-            "--bits", "8", "--max-iters", "10", "--out", str(out),
+            "--bits", "8", "--max-iters", "10", "--out", "m.model",
+            "--progress", "p.jsonl",
         ])
-        assert code == cli.EXIT_DIVERGED == 4
+        assert code == cli.EXIT_DIVERGED == 4 and len(calls) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"solver divergence: non-finite residual at secant "
+                            r"\(\d+, \d+\)\n", err)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("algo, flags, keys", [
+        ("lsh", [], ["delta", "lambda", "iterations"]),
+        ("nibh", [], ["delta", "lambda", "iterations", "converged", "secants",
+                      "secant_count", "distance_convention"]),
+        ("nibh-cg", ["--init-sample", "100", "--max-gens", "1"],
+         ["delta", "lambda", "iterations", "delta_hat", "fully_satisfied",
+          "active_size", "peak_resident_secants"]),
+    ])
+    def test_report_keys(self, algo, flags, keys, dataset_file, tmp_path,
+                         capsys):
+        assert cli.main(["train", "--data", str(dataset_file), "--algo", algo,
+                         "--bits", "4", "--max-iters", "3", *flags,
+                         "--out", str(tmp_path / "m.model")]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["diverged"] and doc["iterations"] == 2
-        assert load_model(out).lam == doc["lambda"]
-        assert (tmp_path / "m.model.manifest.json").exists()
+        assert list(doc) == ["algo", "bits", "seed", "out", *keys]
 
     def test_nibh_cg_manifest_records_cg_config_and_argv(self, dataset_file,
                                                          tmp_path, monkeypatch,
@@ -762,9 +788,13 @@ class TestOutputFrame:
           "--progress", "p.jsonl", "--max-iters", "3"], 3),
         (["train", "--algo", "lsh", "--data", "{data}", "--bits", "4",
           "--out", "n.model", "--manifest", "m.model/man"], 3),
-        # a manifest that fails late takes the model file with it
+        # so is an output file that is a directory
         (["train", "--algo", "lsh", "--data", "{data}", "--bits", "4",
           "--out", "n.model", "--manifest", "."], 3),
+        (["train", "--data", "{data}", "--bits", "4", "--out", ".",
+          "--progress", "p.jsonl", "--max-iters", "3"], 3),
+        (["train", "--data", "{data}", "--bits", "4", "--out", "n.model",
+          "--progress", "p.jsonl", "--max-iters", "3", "--manifest", "."], 3),
     ])
     def test_errors_print_nothing_and_write_no_manifest(
             self, argv, code, dataset_file, tmp_path, monkeypatch, capsys):
@@ -775,3 +805,23 @@ class TestOutputFrame:
         assert cli.main([arg.format(data=dataset_file) for arg in argv]) == code
         assert capsys.readouterr().out == ""
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("target", [(dataio, "save_model"),
+                                        (cli.Manifest, "write")])
+    def test_late_failure_removes_every_file_it_wrote(
+            self, target, dataset_file, tmp_path, monkeypatch, capsys):
+        # a failure after training, whether it writes part of the model or
+        # the manifest cannot be opened, takes the model and progress files
+        def fail(*args):
+            if target[1] == "save_model":
+                Path(args[-1]).write_bytes(b"part of a model")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(*target, fail)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--data", str(dataset_file), "--bits", "4",
+                         "--max-iters", "3", "--out", "n.model",
+                         "--progress", "p.jsonl"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "data error: [Errno 28] No space left on device\n"
+        assert os.listdir(tmp_path) == []

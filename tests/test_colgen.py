@@ -8,7 +8,6 @@ from isohash import colgen, core, metrics
 from isohash.admm import SolverConfig, train_nibh
 from isohash.colgen import (
     CgConfig,
-    _union,
     identify_active,
     scan_violators,
     train_nibh_cg,
@@ -193,16 +192,24 @@ class TestScanViolators:
 
 
 class TestUnion:
-    def test_each_pair_once(self):
-        active = SecantBatch([2, 5, 7], [0, 1, 3], [1.0, 2.0, 3.0])
-        violators = SecantBatch([5, 6, 7, 9], [1, 2, 3, 4], [9.0, 4.0, 9.0, 5.0])
-        merged = _union(active, violators)
-        keys = merged.keys()
-        assert np.unique(keys).size == keys.size == 5
-        # resident secants keep their place and target; only fresh ones join
-        np.testing.assert_array_equal(merged.i, [2, 5, 7, 6, 9])
-        np.testing.assert_array_equal(merged.j, [0, 1, 3, 2, 4])
-        np.testing.assert_array_equal(merged.c, [1.0, 2.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_no_resident_set_holds_a_pair_twice(self, monkeypatch, n_threads):
+        # no violator is resident, so the union of the active secants and the
+        # violators never repeats a pair
+        data = preprocess(gen_random_dataset(40, 8, seed=6).points)
+        cfg = small_config(init_sample_size=100, violator_batch=60,
+                           max_generations=10)
+        resident = []
+
+        def recording_train_nibh(data, secants, *args, **kwargs):
+            resident.append(secants.keys())
+            return train_nibh(data, secants, *args, **kwargs)
+
+        monkeypatch.setattr(colgen, "train_nibh", recording_train_nibh)
+        _, report = train_nibh_cg(data, 6, cfg, n_threads=n_threads)
+        assert len(resident) == report.generations + 1 > 2
+        for keys in resident:
+            assert np.unique(keys).size == keys.size
 
 
 class TestTrainCg:
